@@ -70,6 +70,15 @@ def _field_descriptor(field) -> str:
     return field.descriptor()
 
 
+def _require(cfg: RunConfig, field=QQ, order=DEGREVLEX):
+    """Reject a --field or --order that the command would not honour, so a
+    report never records one it did not use (field=None: any field)."""
+    if field is not None and cfg.field != field:
+        raise UsageError(f"this command computes over {field.descriptor()} only")
+    if cfg.order != order:
+        raise UsageError(f"this command computes in {order.descriptor()} only")
+
+
 def _gradient_ideal(m: int, r: int, field) -> tuple:
     data = gradient.gradient(m, r, field)
     return data, data.ideal()
@@ -95,8 +104,8 @@ def cmd_det(m, r, cfg: RunConfig):
 
 
 def cmd_gradient(m, r, cfg: RunConfig):
-    data, _ = _gradient_ideal(m, r, cfg.field)
-    report = gradient.cofactor_decomposition_check(data)
+    data = gradient.gradient(m, r, cfg.field)
+    report = data.decomposition
     verdict = "pass" if report["all_equal"] else "fail"
     witness = {"partials": len(data.partials),
                "cofactor_decomposition": {str(k): v for k, v in report["per_k"].items()}}
@@ -149,6 +158,7 @@ def cmd_codim_minors(m, r, t, cfg: RunConfig):
 def cmd_codim_gradient(m, r, cfg: RunConfig):
     if m < 3:
         raise UsageError("the codimension table starts at m = 3")
+    _require(cfg)
     codim = gradient.gradient_codim(m, r, cfg.budget, cfg.cache)
     expect = 2 if m - r == 2 else 3
     verdict = "pass" if codim == expect else "fail"
@@ -158,7 +168,8 @@ def cmd_codim_gradient(m, r, cfg: RunConfig):
 def cmd_gp_check(m, r, t, cfg: RunConfig):
     if not 1 <= t <= m:
         raise UsageError(f"t={t} outside 1..{m}")
-    rep = gruson_peskine_check(m, t, 2 * m - 1, r, cfg.field, cfg.budget)
+    _require(cfg, field=None)
+    rep = gruson_peskine_check(m, t, 2 * m - 1, r, cfg.field, cfg.budget, cfg.cache)
     verdict = "pass" if rep.equal else "fail"
     return verdict, rep.as_dict()
 
@@ -264,6 +275,7 @@ def cmd_reduction_check(m, r, cfg: RunConfig, nmax: int = 3):
 
 
 def cmd_minimal_primes(m, r, cfg: RunConfig):
+    _require(cfg)
     rep = gradient.minimal_primes_checks(m, r, cfg.budget, cfg.cache)
     witness = {"in_q": rep.in_q, "in_p": rep.in_p, "codim_q": rep.codim_q,
                "codim_p": rep.codim_p, "codims_ok": rep.codims_ok,
@@ -275,6 +287,7 @@ def cmd_minimal_primes(m, r, cfg: RunConfig):
 
 
 def cmd_regular_seq(m, cfg: RunConfig, upto: Optional[int] = None):
+    _require(cfg)
     rep = gradient.regular_sequence_experiment(m, upto, cfg.budget, cfg.cache)
     witness = {"sequence": rep.sequence, "regular": rep.regular,
                "first_failure": rep.first_failure}

@@ -13,6 +13,7 @@ from typing import Optional
 
 from . import groebner
 from .groebner import BudgetExceededError, GBBudget, Ideal
+from .linalg import det, gauss_rank, nullspace
 from .polyring import DEGREVLEX, IndexRangeError, Polynomial, QQ, RingMap
 from .symmatrix import SymMatrix, block_partition, hankel_degeneration
 
@@ -31,7 +32,7 @@ class GradientData:
     delta(i, j) is the signed cofactor of the (j, i) entry of the matrix,
     built lazily and memoized.  Constructed through :func:`gradient`, which
     verifies the cofactor decomposition of every partial and (over QQ) the
-    Euler identity.
+    Euler identity; ``decomposition`` keeps the report of that check.
     """
 
     m: int
@@ -39,6 +40,7 @@ class GradientData:
     matrix: SymMatrix
     f: Polynomial
     partials: tuple
+    decomposition: Optional[dict] = None
     _cofactors: dict = dc_field(default_factory=dict, repr=False)
 
     def delta(self, i: int, j: int) -> Polynomial:
@@ -69,7 +71,7 @@ def gradient(m: int, r: int, field=QQ) -> GradientData:
     n = h.nvars
     partials = tuple(f.derivative(k) for k in range(1, n + 1))
     data = GradientData(m, r, h, f, partials)
-    report = cofactor_decomposition_check(data)
+    report = data.decomposition = cofactor_decomposition_check(data)
     if not report["all_equal"]:
         raise AssertionError(f"cofactor decomposition failed at m={m}, r={r}")
     if field == QQ:
@@ -149,9 +151,9 @@ def hessian_nonzero_certificate(m: int, r: int, rng=None, field=QQ) -> HessianCe
     """Certify that the Hessian determinant of f does not vanish.
 
     Primary route: the three-variable degeneration (a nonzero image proves a
-    nonzero source).  Fallbacks: exact evaluation of the full Hessian at
-    random rational points (up to 5 tries), then the full symbolic
-    determinant.
+    nonzero source).  Fallbacks: the determinant over the field of the full
+    Hessian evaluated at random integer points (up to 5 tries), then the
+    full symbolic determinant.
     """
     data = hessian(m, r, field)
     if not data.degenerated.is_zero():
@@ -163,35 +165,13 @@ def hessian_nonzero_certificate(m: int, r: int, rng=None, field=QQ) -> HessianCe
             point = [rng.randint(1, 1000) for _ in range(n)]
             numeric = [[e.evaluate(point) for e in data.matrix.row(i)]
                        for i in range(1, n + 1)]
-            value = _fraction_det(numeric)
+            value = det(numeric, field)
             if value != 0:
                 return HessianCertificate(m, r, True, "evaluation",
                                           f"h(f)({point}) = {value}")
     full = data.matrix.determinant()
     return HessianCertificate(m, r, not full.is_zero(), "symbolic",
                               f"{len(full.terms)} terms")
-
-
-def _fraction_det(rows: list) -> object:
-    from fractions import Fraction
-    mat = [[Fraction(c) for c in row] for row in rows]
-    n = len(mat)
-    sign = 1
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if mat[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            mat[col], mat[piv] = mat[piv], mat[col]
-            sign = -sign
-        det *= mat[col][col]
-        inv = 1 / mat[col][col]
-        for r in range(col + 1, n):
-            if mat[r][col] != 0:
-                factor = mat[r][col] * inv
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[col])]
-    return det * sign
 
 
 @dataclass
@@ -476,8 +456,6 @@ def generic_syzygy_shape_check(m: int) -> SyzygyShapeReport:
     """Solve for linear syzygies of the generic gradient constrained to the
     three banded supports and confirm they span the whole linear-syzygy
     space (of dimension 3)."""
-    from .linalg import nullspace
-
     data = gradient(m, 0)
     n = data.nvars
     F = data.partials
@@ -518,7 +496,6 @@ def generic_syzygy_shape_check(m: int) -> SyzygyShapeReport:
                 if 1 <= v <= n:
                     flat[(i - 1) * n + (v - 1)] = vec[i - 1]
             candidates.append(flat)
-        from .linalg import gauss_rank
         spans = (gauss_rank(candidates, QQ) == 3 == full)
     return SyzygyShapeReport(m, down, up, diag, down_nonzero, spans)
 

@@ -1,5 +1,5 @@
-"""Exact linear algebra: dense Gauss over a field, fraction-free polynomial
-rank, and an incremental sparse echelon form for spans of polynomials.
+"""Exact linear algebra over a field: one sparse echelon core for spans,
+rank, nullspace, solve and determinant, plus fraction-free polynomial rank.
 
 Everything here is exact; the rationals go through integer-primitive rows to
 keep big-integer growth in check.
@@ -8,31 +8,35 @@ keep big-integer growth in check.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import neg
 from typing import Sequence
 
 from .polyring import DEGREVLEX, QQ, Polynomial
 
 
-def _row_primitive(row: dict) -> dict:
+def _row_primitive(row: dict) -> tuple:
+    """(row / content, content) for an integer row."""
     g = 0
     for c in row.values():
         g = gcd(g, abs(c))
         if g == 1:
-            return row
+            return row, 1
     if g <= 1:
-        return row
-    return {k: c // g for k, c in row.items()}
+        return row, 1
+    return {k: c // g for k, c in row.items()}, g
 
 
 class SpanEchelon:
     """Incremental echelon basis of a k-span of sparse vectors.
 
-    Vectors are dicts keyed by hashable coordinates (exponent tuples).  Over
-    QQ the rows are kept integer and primitive; over GF(p) coefficients are
-    canonical residues.  ``insert`` reduces the vector against the current
-    pivots and either absorbs it (returns False) or installs a new pivot row
-    (returns True).
+    Vectors are dicts keyed by hashable coordinates (exponent tuples, or
+    column indices under ``keyfn=operator.neg``, which puts the lead at the
+    smallest index).  Over QQ the rows are kept integer and primitive; over
+    GF(p) coefficients are canonical residues.  ``insert`` reduces the vector
+    against the current pivots and either absorbs it (returns False) or
+    installs a new pivot row (returns True).  A pivot row is reduced at its
+    lead only; ``reduced_rows`` gives the reduced row echelon form.
     """
 
     def __init__(self, field=QQ, keyfn=None):
@@ -47,53 +51,64 @@ class SpanEchelon:
     def _lead(self, row: dict):
         return max(row, key=self.keyfn)
 
-    def _to_int_row(self, terms: dict) -> dict:
+    def _to_int_row(self, terms: dict) -> tuple:
+        """(row, mul, div) with row = mul/div * terms: the nonzero entries as
+        an integer-primitive row over QQ, as residues over GF(p)."""
         if self.field == QQ:
-            den = 1
-            for c in terms.values():
-                f = Fraction(c)
-                den = den * f.denominator // gcd(den, f.denominator)
-            return _row_primitive({k: int(Fraction(c) * den) for k, c in terms.items()})
-        p = self.field.p
-        return {k: int(c) % p for k, c in terms.items() if int(c) % p}
+            fracs = {k: Fraction(c) for k, c in terms.items() if c}
+            den = lcm(*(f.denominator for f in fracs.values()))
+            row, content = _row_primitive(
+                {k: f.numerator * (den // f.denominator) for k, f in fracs.items()})
+            return row, den, content
+        coerce = self.field.coerce
+        return {k: v for k, c in terms.items() if (v := coerce(c))}, 1, 1
 
-    def reduce(self, terms: dict) -> dict:
-        """Fully reduce a vector against the pivots; result is primitive."""
-        row = self._to_int_row(terms)
+    def _eliminate(self, row: dict, piv: dict, k) -> tuple:
+        """(new, mul, div) with new = mul/div * (row - c * piv) zero at k, for
+        the pivot row piv whose lead is k."""
         if self.field == QQ:
-            while row:
-                lead = self._lead(row)
-                piv = self.pivots.get(lead)
-                if piv is None:
-                    break
-                a, b = piv[lead], row[lead]
-                g = gcd(a, b)
-                ca, cb = a // g, b // g
-                new = {k: c * ca for k, c in row.items()}
-                for k, c in piv.items():
-                    v = new.get(k, 0) - cb * c
-                    if v:
-                        new[k] = v
-                    else:
-                        new.pop(k, None)
-                row = _row_primitive(new)
-            return row
+            a, b = piv[k], row[k]
+            g = gcd(a, b)
+            ca, cb = a // g, b // g
+            new = {key: c * ca for key, c in row.items()}
+            for key, c in piv.items():
+                v = new.get(key, 0) - cb * c
+                if v:
+                    new[key] = v
+                else:
+                    new.pop(key, None)
+            new, content = _row_primitive(new)
+            return new, ca, content
         p = self.field.p
+        factor = row[k] * pow(piv[k], p - 2, p) % p
+        new = dict(row)
+        for key, c in piv.items():
+            v = (new.get(key, 0) - factor * c) % p
+            if v:
+                new[key] = v
+            else:
+                new.pop(key, None)
+        return new, 1, 1
+
+    def _reduce(self, terms: dict) -> tuple:
+        """(row, mul, div) with row = mul/div * (terms - a combination of the
+        pivot rows), eliminated at its lead until the lead is no pivot's."""
+        row, mul, div = self._to_int_row(terms)
         while row:
             lead = self._lead(row)
             piv = self.pivots.get(lead)
             if piv is None:
                 break
-            factor = row[lead] * pow(piv[lead], p - 2, p) % p
-            new = dict(row)
-            for k, c in piv.items():
-                v = (new.get(k, 0) - factor * c) % p
-                if v:
-                    new[k] = v
-                else:
-                    new.pop(k, None)
-            row = new
-        return row
+            row, m, d = self._eliminate(row, piv, lead)
+            mul *= m
+            div *= d
+        return row, mul, div
+
+    def reduce(self, terms: dict) -> dict:
+        """Reduce a vector against the pivots at its lead only: the result is
+        zero or has a lead that no pivot row has, but its other coordinates
+        may still sit at pivot leads.  Over QQ the result is primitive."""
+        return self._reduce(terms)[0]
 
     def insert(self, terms: dict) -> bool:
         row = self.reduce(terms)
@@ -114,6 +129,28 @@ class SpanEchelon:
     def basis_rows(self) -> list:
         return [self.pivots[k] for k in sorted(self.pivots, key=self.keyfn, reverse=True)]
 
+    def reduced_rows(self) -> dict:
+        """The reduced row echelon form of the span: lead -> row over the
+        field with 1 at its lead and no entry at any other lead.
+
+        Unlike the pivot rows it is unique for the span and the key.  Each
+        pivot row is cleared at the other leads in it, which are all below
+        its own, taking the pivots from the lowest lead up, so every row
+        used to clear is already reduced and adds entries at no lead.
+        """
+        done: dict = {}
+        for lead in sorted(self.pivots, key=self.keyfn):
+            row = self.pivots[lead]
+            for k in [k for k in row if k in done]:
+                row = self._eliminate(row, done[k], k)[0]
+            done[lead] = row
+        fld = self.field
+        out = {}
+        for lead, row in done.items():
+            inv = fld.inv(row[lead])
+            out[lead] = {k: fld.mul(c, inv) for k, c in row.items()}
+        return out
+
 
 def span_dimension(polys: Sequence[Polynomial], field=None) -> int:
     """Dimension of the k-linear span of a family of polynomials."""
@@ -123,77 +160,39 @@ def span_dimension(polys: Sequence[Polynomial], field=None) -> int:
     return span.dim
 
 
+def _column_echelon(rows, field) -> SpanEchelon:
+    """The echelon of the rows of a dense matrix, with column indices as
+    coordinates and the lead at the smallest column."""
+    span = SpanEchelon(field, keyfn=neg)
+    for row in rows:
+        span.insert(dict(enumerate(row)))
+    return span
+
+
 def gauss_rank(rows: Sequence[Sequence], field=QQ) -> int:
     """Exact rank of a dense matrix given as rows of field elements."""
-    mat = [[field.coerce(c) for c in row] for row in rows]
-    if not mat:
-        return 0
-    ncols = len(mat[0])
-    rank = 0
-    col = 0
-    zero = field.zero()
-    while rank < len(mat) and col < ncols:
-        piv = None
-        for r in range(rank, len(mat)):
-            if mat[r][col] != zero:
-                piv = r
-                break
-        if piv is None:
-            col += 1
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = field.inv(mat[rank][col])
-        mat[rank] = [field.mul(c, inv) for c in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] != zero:
-                factor = mat[r][col]
-                mat[r] = [field.sub(a, field.mul(factor, b)) for a, b in zip(mat[r], mat[rank])]
-        rank += 1
-        col += 1
-    return rank
+    return _column_echelon(rows, field).dim
 
 
 def nullspace(rows: Sequence[Sequence], ncols: int, field=QQ) -> list:
-    """Basis of the right nullspace of the matrix, reduced row echelon based.
+    """Basis of the right nullspace of the matrix, read off its reduced row
+    echelon form.
 
-    Returns vectors normalized with leading free coordinate 1, ordered by the
-    free-column index, so the output is deterministic.
+    One vector per free column, in column order: 1 at its own free column,
+    0 at the other free columns.  The form is unique, so the output is too.
     """
-    mat = [[field.coerce(c) for c in row] for row in rows]
     zero = field.zero()
-    one = field.one()
-    pivots: list[int] = []
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, len(mat)):
-            if mat[r][col] != zero:
-                piv = r
-                break
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = field.inv(mat[rank][col])
-        mat[rank] = [field.mul(c, inv) for c in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] != zero:
-                factor = mat[r][col]
-                mat[r] = [field.sub(a, field.mul(factor, b)) for a, b in zip(mat[r], mat[rank])]
-        pivots.append(col)
-        rank += 1
-    basis = []
-    pivot_set = set(pivots)
+    pivots = _column_echelon(rows, field).reduced_rows()
+    basis = {}
     for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = [zero] * ncols
-        vec[free] = one
-        for r, pcol in enumerate(pivots):
-            coeff = mat[r][free]
-            if coeff != zero:
-                vec[pcol] = field.neg(coeff)
-        basis.append(vec)
-    return basis
+        if free not in pivots:
+            basis[free] = [zero] * ncols
+            basis[free][free] = field.one()
+    for pcol, row in pivots.items():
+        for col, c in row.items():
+            if col != pcol:
+                basis[col][pcol] = field.neg(c)
+    return list(basis.values())
 
 
 def solve_consistent(rows: Sequence[Sequence], rhs: Sequence, field=QQ):
@@ -205,34 +204,36 @@ def solve_consistent(rows: Sequence[Sequence], rhs: Sequence, field=QQ):
     if not rows:
         return []
     ncols = len(rows[0])
-    mat = [[field.coerce(c) for c in row] + [field.coerce(b)] for row, b in zip(rows, rhs)]
-    zero = field.zero()
-    pivots: list[int] = []
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, len(mat)):
-            if mat[r][col] != zero:
-                piv = r
-                break
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = field.inv(mat[rank][col])
-        mat[rank] = [field.mul(c, inv) for c in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] != zero:
-                factor = mat[r][col]
-                mat[r] = [field.sub(a, field.mul(factor, b)) for a, b in zip(mat[r], mat[rank])]
-        pivots.append(col)
-        rank += 1
-    for r in range(rank, len(mat)):
-        if mat[r][ncols] != zero:
-            return None
-    sol = [zero] * ncols
-    for r, col in enumerate(pivots):
-        sol[col] = mat[r][ncols]
+    span = _column_echelon([list(row) + [b] for row, b in zip(rows, rhs)], field)
+    if ncols in span.pivots:
+        return None
+    sol = [field.zero()] * ncols
+    for pcol, row in span.reduced_rows().items():
+        if ncols in row:
+            sol[pcol] = row[ncols]
     return sol
+
+
+def det(rows: Sequence[Sequence], field=QQ):
+    """Exact determinant of a square matrix given as rows of field elements.
+
+    Each row is reduced against the earlier ones; ``_reduce`` reports the
+    scalar it multiplied the row by, so the unscaled pivots, and the sign of
+    the permutation taking rows to their lead columns, give the determinant.
+    """
+    span = SpanEchelon(field, keyfn=neg)
+    value = field.one()
+    leads = []
+    for terms in rows:
+        row, mul, div = span._reduce(dict(enumerate(terms)))
+        if not row:
+            return field.zero()
+        lead = span._lead(row)
+        span.pivots[lead] = row
+        leads.append(lead)
+        value = field.mul(value, field.coerce(Fraction(row[lead] * div, mul)))
+    inversions = sum(a > b for i, a in enumerate(leads) for b in leads[i + 1:])
+    return field.neg(value) if inversions % 2 else value
 
 
 def poly_divide_exact(p: Polynomial, f: Polynomial) -> Polynomial:

@@ -315,7 +315,7 @@ class GPReport:
 
 
 def gruson_peskine_check(s: int, t_size: int, n: int, r: int, field=QQ,
-                         budget=None) -> GPReport:
+                         budget=None, cache=None) -> GPReport:
     """Verify that the t-minors of the s-rowed and t-rowed Hankel shapes on the
     same variables generate the same ideal: Groebner mutual membership, with
     the equality of coefficient spans as a second, independent route."""
@@ -331,7 +331,7 @@ def gruson_peskine_check(s: int, t_size: int, n: int, r: int, field=QQ,
     gens_small = [mn.value for mn in small.minors(t_size)]
     ideal_big = groebner.Ideal(field, big.nvars, gens_big)
     ideal_small = groebner.Ideal(field, small.nvars, gens_small)
-    equal = groebner.ideal_equal(ideal_big, ideal_small, budget=budget)
+    equal = groebner.ideal_equal(ideal_big, ideal_small, budget=budget, cache=cache)
     span_big = SpanEchelon(field)
     for g in gens_big:
         span_big.insert(g.terms)

@@ -38,6 +38,31 @@ def test_exit_code_usage_error():
     assert code == 3
 
 
+def test_unhonoured_field_or_order_is_a_usage_error():
+    # these commands compute over QQ in degrevlex only (gp-check: any field)
+    code, _ = run_cli(["codim-gradient", "--m", "4", "--r", "1", "--field", "f3"])
+    assert code == 3
+    code, _ = run_cli(["minimal-primes", "--m", "4", "--r", "1", "--order", "lex"])
+    assert code == 3
+    code, _ = run_cli(["regular-seq", "--m", "3", "--field", "f5"])
+    assert code == 3
+    code, _ = run_cli(["gp-check", "--m", "3", "--t", "2", "--order", "lex"])
+    assert code == 3
+
+
+def test_gradient_command_checks_once(monkeypatch):
+    from hankelkit import gradient
+
+    calls = []
+    check = gradient.cofactor_decomposition_check
+    monkeypatch.setattr(gradient, "cofactor_decomposition_check",
+                        lambda data: calls.append(data) or check(data))
+    code, out = run_cli(["gradient", "--m", "3", "--r", "1"])
+    assert code == 0 and len(calls) == 1
+    assert report_of(out)["result"]["witness"]["cofactor_decomposition"] == {
+        "1": True, "2": True, "3": True, "4": True}
+
+
 def test_exit_code_budget_exceeded():
     code, out = run_cli(["codim-gradient", "--m", "4", "--r", "0",
                          "--budget-pairs", "2"])

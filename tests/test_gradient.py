@@ -4,7 +4,7 @@ the principal-block check, and the prime-structure experiments."""
 import pytest
 
 from hankelkit import gradient as gr
-from hankelkit.polyring import IndexRangeError, Polynomial, QQ
+from hankelkit.polyring import IndexRangeError, Polynomial, PrimeField, QQ
 
 
 def test_gradient_m3_values():
@@ -129,10 +129,21 @@ def test_hessian_certificate_routes(rng):
 
 
 def test_fraction_det_helper():
+    # the determinant behind the Hessian evaluation fallback
     from fractions import Fraction
-    assert gr._fraction_det([[1, 2], [3, 4]]) == -2
-    assert gr._fraction_det([[1, 2], [2, 4]]) == 0
-    assert gr._fraction_det([[Fraction(1, 2), 0], [0, 4]]) == 2
+    from hankelkit.linalg import det
+    assert det([[1, 2], [3, 4]]) == -2
+    assert det([[1, 2], [2, 4]]) == 0
+    assert det([[Fraction(1, 2), 0], [0, 4]]) == 2
+
+
+def test_hessian_evaluation_is_over_the_field():
+    # over GF(3) the Hessian of the m=4 generic Hankel determinant vanishes:
+    # the evaluations must be read mod 3 (their rational determinant, -18 at
+    # the first point, is no certificate) and the symbolic route decides
+    import random
+    cert = gr.hessian_nonzero_certificate(4, 0, random.Random(0), PrimeField(3))
+    assert cert.route == "symbolic" and not cert.nonzero
 
 
 def test_cofactor_relations_small():

@@ -1,11 +1,14 @@
 """Exact linear algebra helpers."""
 
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hankelkit.linalg import (
     SpanEchelon,
+    det,
     gauss_rank,
     nullspace,
     poly_divide_exact,
@@ -77,3 +80,111 @@ def test_poly_matrix_rank_linear_forms():
     assert poly_matrix_rank([[zero, zero]]) == 0
     # rank over the fraction field sees through scalar multiples only
     assert poly_matrix_rank([[x(1), x(2)], [x(1).scale(5), x(2).scale(5)]]) == 1
+
+
+def test_span_echelon_reads_fractions_over_gf_p():
+    # 1/2 is 2 in GF(3), not 0
+    f3 = PrimeField(3)
+    assert SpanEchelon(f3).insert({(1,): Fraction(1, 2)})
+    assert gauss_rank([[Fraction(1, 2)]], f3) == 1
+    assert solve_consistent([[Fraction(1, 2)]], [1], f3) == [2]
+
+
+# -- properties of the echelon core over QQ, GF(3) and GF(32003) -------------
+
+FIELDS = [QQ, PrimeField(3), PrimeField(32003)]
+# sparse entries, Fractions included; no denominator is divisible by 3
+ENTRY = st.one_of(st.just(0), st.just(0), st.integers(-4, 4),
+                  st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2, 5, 7])))
+
+
+@st.composite
+def matrices(draw, max_size=6, square=False):
+    field = draw(st.sampled_from(FIELDS))
+    nrows = draw(st.integers(0, max_size))
+    ncols = nrows if square else draw(st.integers(1, max_size))
+    row = st.lists(ENTRY, min_size=ncols, max_size=ncols)
+    return field, draw(st.lists(row, min_size=nrows, max_size=nrows)), ncols
+
+
+def _dot(field, row, vec):
+    total = field.zero()
+    for a, v in zip(row, vec):
+        total = field.add(total, field.mul(field.coerce(a), field.coerce(v)))
+    return total
+
+
+def _leibniz(field, rows):
+    n = len(rows)
+    total = field.zero()
+    for perm in permutations(range(n)):
+        term = field.one()
+        for i, j in enumerate(perm):
+            term = field.mul(term, field.coerce(rows[i][j]))
+        odd = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n)) % 2
+        total = field.add(total, field.neg(term) if odd else term)
+    return total
+
+
+def _free_columns(field, rows, ncols):
+    """Columns that do not raise the rank of the columns before them."""
+    return [c for c in range(ncols)
+            if gauss_rank([r[:c + 1] for r in rows], field)
+            == (gauss_rank([r[:c] for r in rows], field) if c else 0)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+def test_nullspace_properties(case):
+    field, rows, ncols = case
+    rank = gauss_rank(rows, field)
+    basis = nullspace(rows, ncols, field)
+    assert len(basis) == ncols - rank
+    free = _free_columns(field, rows, ncols)
+    assert len(free) == len(basis)
+    for vec, own in zip(basis, free):
+        assert all(_dot(field, row, vec) == field.zero() for row in rows)
+        assert [vec[c] for c in free] == [field.one() if c == own else field.zero()
+                                          for c in free]
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(), st.data())
+def test_solve_consistent_properties(case, data):
+    field, rows, ncols = case
+    rhs = data.draw(st.lists(ENTRY, min_size=len(rows), max_size=len(rows)))
+    if data.draw(st.booleans()):
+        # a consistent right-hand side A x0
+        x0 = data.draw(st.lists(ENTRY, min_size=ncols, max_size=ncols))
+        rhs = [_dot(field, row, x0) for row in rows]
+    sol = solve_consistent(rows, rhs, field)
+    if not rows:
+        assert sol == []
+        return
+    augmented = [list(row) + [b] for row, b in zip(rows, rhs)]
+    if gauss_rank(augmented, field) > gauss_rank(rows, field):
+        assert sol is None
+        return
+    assert sol is not None and len(sol) == ncols
+    assert all(_dot(field, row, sol) == field.coerce(b) for row, b in zip(rows, rhs))
+    assert all(sol[c] == field.zero() for c in _free_columns(field, rows, ncols))
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices(max_size=4))
+def test_rank_is_the_largest_nonzero_minor(case):
+    field, rows, ncols = case
+    largest = 0
+    for k in range(1, min(len(rows), ncols) + 1):
+        for rs in combinations(range(len(rows)), k):
+            for cs in combinations(range(ncols), k):
+                if _leibniz(field, [[rows[i][j] for j in cs] for i in rs]) != field.zero():
+                    largest = k
+    assert gauss_rank(rows, field) == largest
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(max_size=5, square=True))
+def test_det_is_the_leibniz_expansion(case):
+    field, rows, _ = case
+    assert det(rows, field) == _leibniz(field, rows)
