@@ -1,8 +1,9 @@
 """Persistent on-disk cache for reduced Groebner bases.
 
 Entries live at ``<dir>/gb/<sha256>.txt`` in the canonical polynomial text
-grammar; the key hashes the engine version, field, order, variable count and
-the canonical generator list, so any change to the inputs or the engine misses
+grammar; the key hashes the engine version, a digest of the engine sources
+(``groebner.py`` and ``polyring.py``), field, order, variable count and the
+canonical generator list, so any change to the inputs or the engine misses
 cleanly.  Writes are atomic (temp file + rename).
 """
 
@@ -12,17 +13,29 @@ import hashlib
 import os
 import tempfile
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 from pathlib import Path
 
 from .polyring import field_from_descriptor, order_from_descriptor, parse_polynomial
 
 _FORMAT = "hankelkit-gb-1"
+_ENGINE_SOURCES = ("groebner.py", "polyring.py")
+
+
+@lru_cache(maxsize=None)
+def engine_digest() -> str:
+    """sha256 of the engine sources: a basis cached by another engine misses."""
+    h = hashlib.sha256()
+    for name in _ENGINE_SOURCES:
+        h.update(Path(__file__).with_name(name).read_bytes())
+    return h.hexdigest()
 
 
 def cache_key(engine_version: str, ideal, order) -> str:
     h = hashlib.sha256()
     h.update(_FORMAT.encode())
     h.update(engine_version.encode())
+    h.update(engine_digest().encode())
     h.update(ideal.field.descriptor().encode())
     h.update(str(ideal.nvars).encode())
     h.update(order.descriptor().encode())

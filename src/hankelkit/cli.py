@@ -115,7 +115,7 @@ def cmd_gradient(m, r, cfg: RunConfig):
 
 
 def cmd_hessian_check(m, r, cfg: RunConfig):
-    cert = gradient.hessian_nonzero_certificate(m, r, cfg.rng(), cfg.field)
+    cert = gradient.hessian_nonzero_certificate(m, r, cfg.rng(), cfg.field, cfg.budget)
     verdict = "pass" if cert.nonzero else "fail"
     return verdict, {"route": cert.route, "witness": cert.witness}
 

@@ -147,13 +147,15 @@ class HessianCertificate:
     witness: str
 
 
-def hessian_nonzero_certificate(m: int, r: int, rng=None, field=QQ) -> HessianCertificate:
+def hessian_nonzero_certificate(m: int, r: int, rng=None, field=QQ,
+                                budget: Optional[GBBudget] = None) -> HessianCertificate:
     """Certify that the Hessian determinant of f does not vanish.
 
     Primary route: the three-variable degeneration (a nonzero image proves a
     nonzero source).  Fallbacks: the determinant over the field of the full
     Hessian evaluated at random integer points (up to 5 tries), then the
-    full symbolic determinant.
+    full symbolic determinant, whose term products count against the
+    budget's ``max_terms`` (BudgetExceededError past it).
     """
     data = hessian(m, r, field)
     if not data.degenerated.is_zero():
@@ -169,7 +171,7 @@ def hessian_nonzero_certificate(m: int, r: int, rng=None, field=QQ) -> HessianCe
             if value != 0:
                 return HessianCertificate(m, r, True, "evaluation",
                                           f"h(f)({point}) = {value}")
-    full = data.matrix.determinant()
+    full = data.matrix.determinant((budget or groebner.DEFAULT_BUDGET).max_terms)
     return HessianCertificate(m, r, not full.is_zero(), "symbolic",
                               f"{len(full.terms)} terms")
 

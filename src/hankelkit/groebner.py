@@ -1,21 +1,33 @@
 """Exact Groebner-basis engine over QQ and GF(p).
 
-Supplies reduced bases (Buchberger with the coprime and chain criteria),
-normal forms, Krull dimension via the initial ideal, elimination,
-intersection-based ideal quotients, radical membership, kernels of algebra
-maps, linear syzygies, and reduction-number checks.
+Supplies reduced bases, normal forms, Krull dimension via the initial ideal,
+elimination, intersection-based ideal quotients, radical membership, kernels
+of algebra maps, linear syzygies, and reduction-number checks.
+
+Inside the kernel a monomial is one int (``MonomialPacking``): per block of
+the monomial order, the prefix sums of the exponents in fixed-width fields.
+Plain int comparison is then the order, a product is ``+`` and divisibility
+is one guard-bit test.  Buchberger takes pairs by lcm degree and prunes them
+with the Gebauer-Moeller update.  One division loop, ``_reduce_full``, serves
+the basis computation, normal forms, membership, ideal equality and basis
+verification; polynomials are converted only when generators come in and
+reduced bases go out.
 
 Over QQ every intermediate polynomial is kept integer and primitive; leading
 coefficients are only normalized in the final reduced basis.  Budgets make
-resource exhaustion a first-class outcome instead of a crash.
+resource exhaustion, including a monomial degree too wide for a packed
+field, a first-class outcome instead of a crash.
 """
 
 from __future__ import annotations
 
 import heapq
+import struct
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from math import gcd
+from functools import lru_cache
+from math import gcd, lcm
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .linalg import SpanEchelon, nullspace, poly_divide_exact, poly_matrix_rank
@@ -26,10 +38,6 @@ from .polyring import (
     PolyError,
     Polynomial,
     QQ,
-    mono_div,
-    mono_divides,
-    mono_lcm,
-    mono_mul,
 )
 
 
@@ -111,164 +119,329 @@ class GroebnerBasis:
     order: MonomialOrder
     polys: tuple
     stats: dict = dc_field(default_factory=dict)
+    _entries: Optional[list] = dc_field(default=None, init=False, repr=False, compare=False)
+
+    def kernel_entries(self) -> list:
+        """The basis as kernel entries (see ``_entry``), built on first use."""
+        if self._entries is None:
+            pk = packing(self.order, self.nvars)
+            mod = _modulus(self.field)
+            self._entries = [_entry(_to_kernel(g, pk)[0], pk, mod) for g in self.polys]
+        return self._entries
 
     def monic(self) -> list:
         return [p.monic(self.order) for p in self.polys]
 
     def leading_monomials(self) -> list:
-        return [p.leading_monomial(self.order) for p in self.polys]
+        decode = packing(self.order, self.nvars).decode
+        return [decode(e[0]) for e in self.kernel_entries()]
 
     def __len__(self):
         return len(self.polys)
 
 
 # ---------------------------------------------------------------------------
-# integer kernel: polynomials as dict[exps -> int], QQ handled integer-primitive,
-# GF(p) handled as residues with p > 0
+# packed monomials
 
-def _strip_content(terms: dict) -> dict:
-    g = 0
-    for c in terms.values():
-        g = gcd(g, abs(c))
-        if g == 1:
-            return terms
-    if g <= 1:
-        return terms
-    return {k: c // g for k, c in terms.items()}
+_FIELD_BITS = 16
+_FIELD_MASK = (1 << _FIELD_BITS) - 1
+MAX_DEGREE = (1 << (_FIELD_BITS - 1)) - 1
 
 
-def _to_int_terms(p: Polynomial) -> dict:
-    if p.field == QQ:
-        den = 1
-        for c in p.terms.values():
-            den = den * c.denominator // gcd(den, c.denominator)
-        return _strip_content({k: int(c * den) for k, c in p.terms.items()})
-    return dict(p.terms)
+def _overflow() -> BudgetExceededError:
+    return BudgetExceededError("monomial block degree", MAX_DEGREE)
 
 
-def _from_int_terms(terms: dict, field, nvars: int) -> Polynomial:
-    if field == QQ:
-        return Polynomial(field, nvars, {k: Fraction(c) for k, c in terms.items()},
-                          _trusted=True)
-    return Polynomial(field, nvars, dict(terms), _trusted=True)
+class MonomialPacking:
+    """Monomials of one order on ``nvars`` variables as single ints.
 
+    ``order.blocks`` splits the variables into ranges compared in turn, each
+    by degrevlex.  The key of a monomial has one ``_FIELD_BITS``-wide field
+    per variable, holding the sum of the exponents from the first variable of
+    its block up to it; a block's fields run from its total at the top down to
+    its first variable, and the first block sits highest.  Degrevlex compares
+    exactly these prefix sums from the top, so int comparison of keys is the
+    order and the key of a product is the sum of the keys.
 
-def _reduce_full(work: dict, basis: list, keyfn, p: int, arena_limit: int) -> dict:
-    """Full normal form of ``work`` against ``basis`` entries (lm, lc, terms).
-
-    Over QQ (p == 0) this is pseudo-reduction: the result is a positive scalar
-    multiple of the true remainder, returned integer-primitive, which is all
-    the callers need (zero-ness and canonical basis construction).
+    ``exps`` turns a key into the packed exponent vector (same fields, one
+    exponent each).  On those, ``b`` divides ``a`` iff ``a + guard - b`` keeps
+    every field's top (guard) bit, which all valid fields leave clear: a block
+    degree above ``MAX_DEGREE`` raises BudgetExceededError.
     """
+
+    def __init__(self, order: MonomialOrder, nvars: int):
+        width = _FIELD_BITS
+        position = [0] * nvars
+        base = nvars
+        self.low = 0            # every field but the top field of its block
+        self.top_shifts = []    # bit offset of each block's top field
+        self._singles = 0       # the fields of one-variable blocks
+        self._prefix = []       # (offset, mask, repunit) of blocks of 2+ variables
+        for start, stop in order.blocks(nvars):
+            size = stop - start
+            if not size:
+                continue
+            base -= size
+            for j in range(start, stop):
+                position[j] = base + j - start
+            shift = width * base
+            self.top_shifts.append(shift + width * (size - 1))
+            self.low |= ((1 << width * (size - 1)) - 1) << shift
+            if size == 1:
+                self._singles |= _FIELD_MASK << shift
+            else:
+                repunit = sum(1 << width * t for t in range(size))
+                self._prefix.append((shift, (1 << width * size) - 1, repunit))
+        self.nvars = nvars
+        self.guard = sum(1 << (width * q + width - 1) for q in range(nvars))
+        self._struct = struct.Struct(f"<{nvars}H")
+        identity = position == list(range(nvars))
+        self._position = None if identity else position
+        self._variable = None if identity else sorted(range(nvars), key=position.__getitem__)
+
+    def from_exps(self, e: int) -> int:
+        """The key of the monomial with packed exponent vector ``e``."""
+        key = e & self._singles
+        for shift, mask, repunit in self._prefix:
+            key |= (((e >> shift) & mask) * repunit & mask) << shift
+        return key
+
+    def exps(self, key: int) -> int:
+        """The packed exponent vector of the monomial with this key."""
+        return key - ((key & self.low) << _FIELD_BITS)
+
+    def encode(self, exps: Sequence[int]) -> int:
+        """The key of an exponent tuple."""
+        if self._variable is not None:
+            exps = [exps[v] for v in self._variable]
+        try:
+            e = int.from_bytes(self._struct.pack(*exps), "little")
+        except struct.error:
+            raise _overflow() from None
+        key = self.from_exps(e)
+        if (e | key) & self.guard:
+            raise _overflow()
+        return key
+
+    def decode(self, key: int) -> tuple:
+        """The exponent tuple of a key."""
+        fields = self._struct.unpack(self.exps(key).to_bytes(2 * self.nvars, "little"))
+        if self._position is None:
+            return fields
+        return tuple(fields[q] for q in self._position)
+
+    def divides(self, a: int, b: int) -> bool:
+        """Whether the monomial with key ``a`` divides the one with key ``b``."""
+        guard = self.guard
+        return (self.exps(b) + guard - self.exps(a)) & guard == guard
+
+    def degree(self, key: int) -> int:
+        """Total degree: the sum of the block totals."""
+        return sum((key >> s) & _FIELD_MASK for s in self.top_shifts)
+
+
+@lru_cache(maxsize=None)
+def packing(order: MonomialOrder, nvars: int) -> MonomialPacking:
+    return MonomialPacking(order, nvars)
+
+
+def _lcm(a: int, b: int, guard: int) -> int:
+    """Fieldwise maximum of two packed exponent vectors."""
+    m = (a + guard - b) & guard     # the guard bit of every field where a >= b
+    m -= m >> (_FIELD_BITS - 1)     # widened to the field's value bits
+    return b ^ ((a ^ b) & m)
+
+
+# ---------------------------------------------------------------------------
+# the kernel: polynomials as dict[key -> int]; over QQ integer-primitive, over
+# GF(p) residues.  A basis element is an entry (lead key, divisor mask, lead
+# coefficient, tail, tops):
+#   divisor mask  guard - exps(lead): the lead divides a monomial with packed
+#                 exponents e iff (e + mask) & guard == guard;
+#   lead coeff    positive over QQ, 1 over GF(p);
+#   tail          the other terms as (key, coefficient) pairs;
+#   tops          the largest degree of each block over the terms, in the
+#                 block's top field: a multiplier s keeps every product
+#                 inside the fields iff (s + tops) & guard == 0.
+
+def _modulus(field) -> int:
+    return 0 if field == QQ else field.p
+
+
+def _to_kernel(p: Polynomial, pk: MonomialPacking) -> tuple:
+    """(terms, scale) with terms = scale * p, integer-primitive over QQ."""
+    encode = pk.encode
+    if p.field != QQ:
+        return {encode(e): c for e, c in p.terms.items()}, 1
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    terms = {encode(e): c.numerator * (den // c.denominator) for e, c in p.terms.items()}
+    content = gcd(*terms.values())
+    if content > 1:
+        terms = {k: c // content for k, c in terms.items()}
+    return terms, Fraction(den, content or 1)
+
+
+def _from_kernel(terms: dict, pk: MonomialPacking, field, nvars: int,
+                 scale=1) -> Polynomial:
+    """The polynomial ``terms / scale``."""
+    decode = pk.decode
+    if field != QQ:
+        out = {decode(k): c for k, c in terms.items()}
+    elif scale == 1:
+        out = {decode(k): Fraction(c) for k, c in terms.items()}
+    else:
+        out = {decode(k): Fraction(c) / scale for k, c in terms.items()}
+    return Polynomial(field, nvars, out, _trusted=True)
+
+
+def _entry(terms: dict, pk: MonomialPacking, p: int) -> tuple:
+    """The entry of a nonzero polynomial, scaled to a positive lead
+    coefficient over QQ and to a monic one over GF(p)."""
+    lead = max(terms)
+    lc = terms[lead]
+    if p:
+        if lc != 1:
+            inv = pow(lc, p - 2, p)
+            terms = {k: c * inv % p for k, c in terms.items()}
+    elif lc < 0:
+        terms = {k: -c for k, c in terms.items()}
+    tops = 0
+    for s in pk.top_shifts:
+        tops |= max((k >> s) & _FIELD_MASK for k in terms) << s
+    tail = [(k, c) for k, c in terms.items() if k != lead]
+    return (lead, pk.guard - pk.exps(lead), terms[lead], tail, tops)
+
+
+def _reduce_full(work: dict, reducers: list, pk: MonomialPacking, p: int,
+                 arena_limit: int) -> tuple:
+    """(rem, scale): the full normal form of ``work`` against the entries
+    ``reducers``, each lead term divided by the first reducer whose lead
+    divides it, with rem = scale * the remainder.
+
+    Over GF(p) the reducers are monic and scale is 1.  Over QQ this is
+    pseudo-reduction: rem is integer-primitive and scale the positive
+    rational that the multiplications and content divisions add up to.
+    """
+    guard = pk.guard
+    low = pk.low
+    divisors = [r[1] for r in reducers]
     work = dict(work)
     rem: dict = {}
+    scale = Fraction(1)
+    mul = 1
     steps = 0
     while work:
         if len(work) + len(rem) > arena_limit:
             raise BudgetExceededError("term arena", arena_limit)
-        lm = max(work, key=keyfn)
+        lm = max(work)
         lc = work.pop(lm)
-        hit = None
-        for blm, blc, bterms in basis:
-            if mono_divides(blm, lm):
-                hit = (blm, blc, bterms)
+        e = lm - ((lm & low) << _FIELD_BITS)
+        for idx, d in enumerate(divisors):
+            if (e + d) & guard == guard:
                 break
-        if hit is None:
+        else:
             rem[lm] = lc
             continue
-        blm, blc, bterms = hit
-        shift = mono_div(lm, blm)
+        blead, _, blc, btail, btops = reducers[idx]
+        shift = lm - blead
+        if (shift + btops) & guard:
+            raise _overflow()
         if p:
-            factor = lc * pow(blc, p - 2, p) % p
-            for k, c in bterms.items():
-                if k == blm:
-                    continue
-                kk = mono_mul(k, shift)
-                v = (work.get(kk, 0) - factor * c) % p
+            for k, c in btail:
+                kk = k + shift
+                v = (work.get(kk, 0) - lc * c) % p
                 if v:
                     work[kk] = v
                 else:
-                    work.pop(kk, None)
-        else:
-            g = gcd(abs(lc), abs(blc))
-            a = blc // g
-            b = lc // g
-            if a < 0:
-                a, b = -a, -b
-            if a != 1:
-                for k in work:
-                    work[k] *= a
-                for k in rem:
-                    rem[k] *= a
-            for k, c in bterms.items():
-                if k == blm:
-                    continue
-                kk = mono_mul(k, shift)
-                v = work.get(kk, 0) - b * c
-                if v:
-                    work[kk] = v
-                else:
-                    work.pop(kk, None)
-            steps += 1
-            if steps % 32 == 0 and rem:
-                merged = _strip_content({**rem, **work})
-                rem = {k: merged[k] for k in rem}
-                work = {k: merged[k] for k in work}
-    if p:
-        return rem
-    return _strip_content(rem)
+                    del work[kk]
+            continue
+        g = gcd(lc, blc)
+        a = blc // g
+        b = lc // g
+        if a != 1:
+            work = {k: c * a for k, c in work.items()}
+            rem = {k: c * a for k, c in rem.items()}
+            mul *= a
+        for k, c in btail:
+            kk = k + shift
+            v = work.get(kk, 0) - b * c
+            if v:
+                work[kk] = v
+            else:
+                del work[kk]
+        steps += 1
+        if steps % 32 == 0:
+            g = gcd(*work.values(), *rem.values())
+            if g > 1:
+                work = {k: c // g for k, c in work.items()}
+                rem = {k: c // g for k, c in rem.items()}
+            scale *= Fraction(mul, g or 1)
+            mul = 1
+    if p or not rem:
+        return rem, 1
+    g = gcd(*rem.values())
+    if g > 1:
+        rem = {k: c // g for k, c in rem.items()}
+    return rem, scale * Fraction(mul, g)
 
 
-def _spoly(a, b, keyfn, p: int) -> dict:
-    """S-polynomial of two kernel entries (lm, lc, terms)."""
-    alm, alc, aterms = a
-    blm, blc, bterms = b
-    lcm = mono_lcm(alm, blm)
-    sa = mono_div(lcm, alm)
-    sb = mono_div(lcm, blm)
-    out: dict = {}
+def _spoly(a: tuple, b: tuple, lcm_key: int, pk: MonomialPacking, p: int) -> dict:
+    """S-polynomial of two entries whose leads have the lcm ``lcm_key``."""
+    alead, _, alc, atail, atops = a
+    blead, _, blc, btail, btops = b
+    sa = lcm_key - alead
+    sb = lcm_key - blead
+    if ((sa + atops) | (sb + btops)) & pk.guard:
+        raise _overflow()
     if p:
-        fb = alc * pow(blc, p - 2, p) % p
-        for k, c in aterms.items():
-            kk = mono_mul(k, sa)
-            out[kk] = c % p
-        for k, c in bterms.items():
-            kk = mono_mul(k, sb)
-            v = (out.get(kk, 0) - fb * c) % p
+        out = {k + sa: c for k, c in atail}
+        for k, c in btail:
+            kk = k + sb
+            v = (out.get(kk, 0) - c) % p
             if v:
                 out[kk] = v
             else:
-                out.pop(kk, None)
+                del out[kk]
         return out
-    g = gcd(abs(alc), abs(blc))
+    g = gcd(alc, blc)
     ca = blc // g
     cb = alc // g
-    for k, c in aterms.items():
-        out[mono_mul(k, sa)] = ca * c
-    for k, c in bterms.items():
-        kk = mono_mul(k, sb)
+    out = {k + sa: ca * c for k, c in atail}
+    for k, c in btail:
+        kk = k + sb
         v = out.get(kk, 0) - cb * c
         if v:
             out[kk] = v
         else:
-            out.pop(kk, None)
-    return _strip_content(out)
+            del out[kk]
+    g = gcd(*out.values())
+    if g > 1:
+        out = {k: c // g for k, c in out.items()}
+    return out
 
 
-def _normalize_entry(terms: dict, keyfn, p: int):
-    lm = max(terms, key=keyfn)
-    if p == 0 and terms[lm] < 0:
-        terms = {k: -c for k, c in terms.items()}
-    return (lm, terms[lm], terms)
+def _lcm_key(e: int, pk: MonomialPacking) -> int:
+    """The key of an lcm, given its packed exponents: the block degrees of an
+    lcm can reach twice those of its factors, so this is where they may
+    overflow."""
+    key = pk.from_exps(e)
+    if key & pk.guard:
+        raise _overflow()
+    return key
 
 
 def buchberger(ideal: Ideal, order: MonomialOrder = DEGREVLEX,
                budget: Optional[GBBudget] = None, cache=None) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal under the given order.
 
-    Deterministic: pair selection by lcm degree then first index, with the
-    coprime-leading-term and chain criteria; the reduced basis is unique for
-    the order, so results are byte-reproducible and cacheable.
+    Deterministic: pairs are taken by lcm degree, then indices, and pruned by
+    the Gebauer-Moeller update (Gebauer & Moeller 1988) when an element joins
+    the basis.  Of its new pairs only those whose lcm no other new lcm
+    divides survive, one per lcm, none where a coprime pair shares that lcm,
+    and coprime pairs are dropped; an old pair goes when the new lead divides
+    its lcm and the lcms with the new lead differ from it on both sides.  The
+    reduced basis is unique for the order, so results are byte-reproducible
+    and cacheable.
     """
     budget = budget or DEFAULT_BUDGET
     cache = cache if cache is not None else _default_cache
@@ -276,85 +449,91 @@ def buchberger(ideal: Ideal, order: MonomialOrder = DEGREVLEX,
         hit = cache.get(ideal, order)
         if hit is not None:
             return hit
-    p = 0 if ideal.field == QQ else ideal.field.p
-    keyfn = order.key
-    basis: list = []
-    for g in ideal.generators:
-        terms = _to_int_terms(g)
-        if terms:
-            basis.append(_normalize_entry(terms, keyfn, p))
-    pairs: list = []
-    pending = set()
+    p = _modulus(ideal.field)
+    pk = packing(order, ideal.nvars)
+    guard = pk.guard
+    entries: list = []      # the basis so far; pairs refer to indices
+    pending: dict = {}      # live pairs: (i, j) -> (exps, key) of the lcm of their leads
+    heap: list = []         # (lcm degree, i, j); pairs no longer pending are skipped
+    stats = {"pairs_processed": 0, "pairs_pushed": 0,
+             "pairs_skipped_coprime": 0, "pairs_skipped_gm": 0}
 
-    def push_pairs(new_index: int):
-        for i in range(new_index):
-            lcm = mono_lcm(basis[i][0], basis[new_index][0])
-            heapq.heappush(pairs, (sum(lcm), i, new_index))
-            pending.add((i, new_index))
-
-    for idx in range(1, len(basis)):
-        push_pairs(idx)
-
-    processed = 0
-    term_total = sum(len(b[2]) for b in basis)
-    while pairs:
-        _, i, j = heapq.heappop(pairs)
-        pending.discard((i, j))
-        lm_i, lm_j = basis[i][0], basis[j][0]
-        lcm = mono_lcm(lm_i, lm_j)
-        if lcm == mono_mul(lm_i, lm_j):
-            continue
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j):
+    def add(entry) -> None:
+        h = len(entries)
+        entries.append(entry)
+        dh = entry[1]
+        eh = guard - dh
+        # new pairs by lcm, a divisor before its multiples and, among equal
+        # lcms, coprime pairs first: a pair survives unless an earlier kept
+        # lcm divides its own
+        new = []
+        for g in range(h):
+            eg = guard - entries[g][1]
+            e = _lcm(eh, eg, guard)
+            new.append((e, e != eh + eg, g))
+        new.sort()
+        kept: list = []     # divisor masks of the lcms kept so far, coprime ones too
+        fresh: list = []
+        for e, shared, g in new:
+            if not shared:
+                stats["pairs_skipped_coprime"] += 1
+            elif any((e + d) & guard == guard for d in kept):
+                stats["pairs_skipped_gm"] += 1
                 continue
-            if mono_divides(basis[k][0], lcm):
-                a = (min(i, k), max(i, k))
-                b = (min(j, k), max(j, k))
-                if a not in pending and b not in pending:
-                    skip = True
-                    break
-        if skip:
+            else:
+                fresh.append((e, g))
+            kept.append(guard - e)
+        dead = [pair for pair, (e, _) in pending.items()
+                if (e + dh) & guard == guard
+                and e != _lcm(guard - entries[pair[0]][1], eh, guard)
+                and e != _lcm(guard - entries[pair[1]][1], eh, guard)]
+        for pair in dead:
+            del pending[pair]
+        stats["pairs_skipped_gm"] += len(dead)
+        for e, g in fresh:
+            key = _lcm_key(e, pk)
+            pending[(g, h)] = (e, key)
+            heapq.heappush(heap, (pk.degree(key), g, h))
+        stats["pairs_pushed"] += len(fresh)
+
+    for g in ideal.generators:
+        add(_entry(_to_kernel(g, pk)[0], pk, p))
+    term_total = sum(1 + len(e[3]) for e in entries)
+    while heap:
+        _, i, j = heapq.heappop(heap)
+        lcm = pending.pop((i, j), None)
+        if lcm is None:
             continue
-        processed += 1
-        if processed > budget.max_pairs:
+        stats["pairs_processed"] += 1
+        if stats["pairs_processed"] > budget.max_pairs:
             raise BudgetExceededError("pair reductions", budget.max_pairs)
-        s = _spoly(basis[i], basis[j], keyfn, p)
+        s = _spoly(entries[i], entries[j], lcm[1], pk, p)
         if not s:
             continue
-        nf = _reduce_full(s, basis, keyfn, p, budget.max_terms)
+        nf = _reduce_full(s, entries, pk, p, budget.max_terms)[0]
         if not nf:
             continue
-        basis.append(_normalize_entry(nf, keyfn, p))
+        add(_entry(nf, pk, p))
         term_total += len(nf)
-        if len(basis) > budget.max_basis:
+        if len(entries) > budget.max_basis:
             raise BudgetExceededError("basis size", budget.max_basis)
         if term_total > budget.max_terms:
             raise BudgetExceededError("term arena", budget.max_terms)
-        push_pairs(len(basis) - 1)
 
-    # minimalize: drop entries whose lead is divisible by another surviving lead
-    basis.sort(key=lambda e: keyfn(e[0]))
+    # keep the elements whose lead no other lead divides, then tail-reduce
+    # each against the others
     minimal: list = []
-    for entry in basis:
-        if not any(mono_divides(other[0], entry[0]) for other in minimal):
+    for entry in sorted(entries, key=itemgetter(0)):
+        e = guard - entry[1]
+        if not any((e + m[1]) & guard == guard for m in minimal):
             minimal.append(entry)
-    # tail-reduce each element against the others for the reduced basis
-    reduced = []
-    for idx, entry in enumerate(minimal):
-        others = [e for k, e in enumerate(minimal) if k != idx]
-        nf = _reduce_full(dict(entry[2]), others, keyfn, p, budget.max_terms)
-        reduced.append(_normalize_entry(nf, keyfn, p))
-    reduced.sort(key=lambda e: keyfn(e[0]))
     polys = []
-    for lm, lc, terms in reduced:
-        poly = _from_int_terms(terms, ideal.field, ideal.nvars)
-        if ideal.field != QQ:
-            poly = poly.monic(order)
-        polys.append(poly)
-    gb = GroebnerBasis(ideal.field, ideal.nvars, order, tuple(polys),
-                       {"pairs_processed": processed, "basis_size": len(polys),
-                        "from_cache": False})
+    for idx, (lead, _, lc, tail, _) in enumerate(minimal):
+        others = minimal[:idx] + minimal[idx + 1:]
+        nf = _reduce_full({lead: lc, **dict(tail)}, others, pk, p, budget.max_terms)[0]
+        polys.append(_from_kernel(nf, pk, ideal.field, ideal.nvars))
+    stats.update(basis_size=len(polys), from_cache=False)
+    gb = GroebnerBasis(ideal.field, ideal.nvars, order, tuple(polys), stats)
     if cache is not None:
         cache.put(ideal, order, gb)
     return gb
@@ -365,36 +544,18 @@ def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
     in the ideal."""
     if p.field != gb.field or p.nvars != gb.nvars:
         raise PolyError("polynomial outside the basis ring")
-    order = gb.order
-    fld = p.field
-    divisors = [(g.leading_monomial(order), g.initial_term(order)[1], g) for g in gb.polys]
-    work = p
-    rem = Polynomial.zero(fld, p.nvars)
-    while not work.is_zero():
-        lm, lc = work.initial_term(order)
-        hit = None
-        for blm, blc, g in divisors:
-            if mono_divides(blm, lm):
-                hit = (blm, blc, g)
-                break
-        if hit is None:
-            t = Polynomial(fld, p.nvars, {lm: lc}, _trusted=True)
-            rem = rem + t
-            work = work - t
-            continue
-        blm, blc, g = hit
-        work = work - g.mul_term(mono_div(lm, blm), fld.mul(lc, fld.inv(blc)))
-    return rem
+    pk = packing(gb.order, gb.nvars)
+    terms, scale = _to_kernel(p, pk)
+    rem, rem_scale = _reduce_full(terms, gb.kernel_entries(), pk, _modulus(gb.field),
+                                  DEFAULT_BUDGET.max_terms)
+    return _from_kernel(rem, pk, p.field, p.nvars, scale * rem_scale)
 
 
 def _nf_is_zero(p: Polynomial, gb: GroebnerBasis, budget: GBBudget) -> bool:
-    mod = 0 if gb.field == QQ else gb.field.p
-    keyfn = gb.order.key
-    basis = [_normalize_entry(_to_int_terms(g), keyfn, mod) for g in gb.polys]
-    terms = _to_int_terms(p)
-    if not terms:
-        return True
-    return not _reduce_full(terms, basis, keyfn, mod, budget.max_terms)
+    pk = packing(gb.order, gb.nvars)
+    terms = _to_kernel(p, pk)[0]
+    return not _reduce_full(terms, gb.kernel_entries(), pk, _modulus(gb.field),
+                            budget.max_terms)[0]
 
 
 def ideal_membership(p: Polynomial, ideal: Ideal, order: MonomialOrder = DEGREVLEX,
@@ -682,7 +843,7 @@ def reduction_check(J: Ideal, I: Ideal, nmax: int,
         return span
 
     def basis_polys(span):
-        return [_from_int_terms(row, fld, I.nvars) for row in span.basis_rows()]
+        return [Polynomial(fld, I.nvars, row) for row in span.basis_rows()]
 
     # power_basis spans (I^n) in its generation degree; n = 0 starts at k itself
     power_basis = [Polynomial.one(fld, I.nvars)]
@@ -720,16 +881,18 @@ def verify_basis(gb: GroebnerBasis, budget: Optional[GBBudget] = None) -> bool:
     """Post-hoc check: every S-polynomial of basis pairs reduces to zero, and
     no basis leading term divides another (reducedness)."""
     budget = budget or DEFAULT_BUDGET
-    mod = 0 if gb.field == QQ else gb.field.p
-    keyfn = gb.order.key
-    entries = [_normalize_entry(_to_int_terms(g), keyfn, mod) for g in gb.polys]
+    mod = _modulus(gb.field)
+    pk = packing(gb.order, gb.nvars)
+    guard = pk.guard
+    entries = gb.kernel_entries()
     for i in range(len(entries)):
         for j in range(i + 1, len(entries)):
-            s = _spoly(entries[i], entries[j], keyfn, mod)
-            if s and _reduce_full(s, entries, keyfn, mod, budget.max_terms):
+            e = _lcm(guard - entries[i][1], guard - entries[j][1], guard)
+            s = _spoly(entries[i], entries[j], _lcm_key(e, pk), pk, mod)
+            if s and _reduce_full(s, entries, pk, mod, budget.max_terms)[0]:
                 return False
-    for i, (lm_i, _, _) in enumerate(entries):
-        for j, (lm_j, _, _) in enumerate(entries):
-            if i != j and mono_divides(lm_i, lm_j):
+    for i, a in enumerate(entries):
+        for j, b in enumerate(entries):
+            if i != j and pk.divides(a[0], b[0]):
                 return False
     return True

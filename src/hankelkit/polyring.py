@@ -187,14 +187,6 @@ def mono_divides(a: tuple, b: tuple) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def mono_div(a: tuple, b: tuple) -> tuple:
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def mono_lcm(a: tuple, b: tuple) -> tuple:
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
 def mono_degree(a: tuple) -> int:
     return sum(a)
 
@@ -205,6 +197,12 @@ class MonomialOrder:
     name = "abstract"
 
     def key(self, exps: tuple):
+        raise NotImplementedError
+
+    def blocks(self, nvars: int) -> list:
+        """The order as consecutive variable ranges ``(start, stop)``, 0-based:
+        monomials compare by degrevlex on the first range, ties by degrevlex
+        on the next, and so on."""
         raise NotImplementedError
 
     def descriptor(self) -> str:
@@ -228,12 +226,18 @@ class DegRevLex(MonomialOrder):
     def key(self, exps: tuple):
         return (sum(exps), tuple(-e for e in reversed(exps)))
 
+    def blocks(self, nvars: int) -> list:
+        return [(0, nvars)]
+
 
 class Lex(MonomialOrder):
     name = "lex"
 
     def key(self, exps: tuple):
         return exps
+
+    def blocks(self, nvars: int) -> list:
+        return [(i, i + 1) for i in range(nvars)]
 
 
 class BlockOrder(MonomialOrder):
@@ -253,6 +257,10 @@ class BlockOrder(MonomialOrder):
             sum(head), tuple(-e for e in reversed(head)),
             sum(tail), tuple(-e for e in reversed(tail)),
         )
+
+    def blocks(self, nvars: int) -> list:
+        k = min(self.elim_count, nvars)
+        return [(0, k), (k, nvars)] if k < nvars else [(0, nvars)]
 
     def descriptor(self) -> str:
         return f"block{self.elim_count}"

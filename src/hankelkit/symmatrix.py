@@ -10,8 +10,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import combinations, permutations
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
+from .groebner import BudgetExceededError
 from .linalg import SpanEchelon
 from .polyring import (
     DEGREVLEX,
@@ -136,18 +137,21 @@ class SymMatrix:
 
     # -- determinants -----------------------------------------------------------
 
-    def determinant(self) -> Polynomial:
+    def determinant(self, max_terms: Optional[int] = None) -> Polynomial:
         """Exact determinant by memoized expansion over column subsets.
 
         Row k is expanded against every k-subset of columns, giving 2^n
         subproblems instead of n! cofactor paths; entries that are zero are
-        skipped, which matters for the degenerated matrices.
+        skipped, which matters for the degenerated matrices.  With
+        ``max_terms``, the term products of the expansion (terms of the entry
+        times terms of the minor, summed) are capped: BudgetExceededError.
         """
         if not self.is_square():
             raise MatrixShapeError("determinant of a non-square matrix")
         n = self.rows
         zero = Polynomial.zero(self.field, self.nvars)
         memo: dict = {(): Polynomial.one(self.field, self.nvars)}
+        products = 0
         for size in range(1, n + 1):
             for cols in combinations(range(1, n + 1), size):
                 acc = zero
@@ -156,6 +160,10 @@ class SymMatrix:
                     if e.is_zero():
                         continue
                     rest = cols[:pos] + cols[pos + 1:]
+                    if max_terms is not None:
+                        products += len(e.terms) * len(memo[rest].terms)
+                        if products > max_terms:
+                            raise BudgetExceededError("determinant term products", max_terms)
                     term = e * memo[rest]
                     # expansion along row `size`: sign (-1)^(size + pos + 1), pos 0-based
                     acc = acc + term if (size + pos) % 2 == 1 else acc - term

@@ -146,6 +146,20 @@ def test_hessian_evaluation_is_over_the_field():
     assert cert.route == "symbolic" and not cert.nonzero
 
 
+def test_hessian_symbolic_fallback_is_budgeted():
+    # the symbolic route counts its term products against max_terms, so a
+    # large vanishing Hessian ends as a typed budget-exceeded report
+    import dataclasses
+    from hankelkit import cli
+    from hankelkit.groebner import GBBudget
+    cfg = cli._build_config("f3", "degrevlex", 0, GBBudget().max_pairs, None, None)
+    small = dataclasses.replace(cfg, budget=GBBudget(max_terms=1000))
+    report = cli.execute("hessian-check", {"m": 4, "r": 0}, small)
+    assert report["result"]["verdict"] == "budget-exceeded"
+    assert "determinant term products" in report["result"]["witness"]["reason"]
+    assert cli.execute("hessian-check", {"m": 4, "r": 0}, cfg)["result"]["verdict"] == "fail"
+
+
 def test_cofactor_relations_small():
     rep = gr.cofactor_relations_check(4, 1)
     assert rep.all_ok

@@ -16,10 +16,12 @@ from hankelkit.groebner import (
 from hankelkit.polyring import (
     BlockOrder,
     DEGREVLEX,
+    LEX,
     Polynomial,
     PrimeField,
     QQ,
     mono_divides,
+    mono_mul,
 )
 from hankelkit.symmatrix import HankelSpec, hankel, hankel_square
 
@@ -86,6 +88,16 @@ def test_gb_deterministic_given_generator_order():
     b1 = gb.buchberger(J)
     b2 = gb.buchberger(J)
     assert [p.to_string() for p in b1.polys] == [p.to_string() for p in b2.polys]
+    assert b1.stats == b2.stats
+
+
+def test_engine_counts_in_stats():
+    _, _, J = gradient_ideal(4, 1)
+    basis = gb.buchberger(J)
+    stats = basis.stats
+    assert stats["basis_size"] == len(basis) and stats["from_cache"] is False
+    assert 0 < stats["pairs_processed"] <= stats["pairs_pushed"]
+    assert stats["pairs_skipped_coprime"] > 0 and stats["pairs_skipped_gm"] > 0
 
 
 def test_spolys_reduce_to_zero_on_every_returned_basis():
@@ -104,9 +116,46 @@ def test_budget_exceeded_is_typed():
         gb.buchberger(J, budget=GBBudget(max_terms=10))
 
 
+# -- packed monomials -----------------------------------------------------------
+
+@st.composite
+def orders_and_monomials(draw):
+    n = draw(st.integers(min_value=1, max_value=8))
+    order = draw(st.sampled_from([DEGREVLEX, LEX, BlockOrder(draw(st.integers(1, n)))]))
+    mono = st.tuples(*[st.integers(min_value=0, max_value=2000)] * n)
+    return order, n, draw(mono), draw(mono)
+
+
+@settings(max_examples=300, deadline=None)
+@given(orders_and_monomials())
+def test_packed_monomials_follow_the_order(case):
+    order, n, a, b = case
+    pk = gb.packing(order, n)
+    ka, kb = pk.encode(a), pk.encode(b)
+    assert (ka < kb) == (order.key(a) < order.key(b))
+    assert (ka == kb) == (a == b)
+    assert pk.encode(mono_mul(a, b)) == ka + kb
+    assert pk.divides(ka, kb) == mono_divides(a, b)
+    assert pk.divides(ka, ka + kb)
+    assert pk.decode(ka) == a and pk.decode(ka + kb) == mono_mul(a, b)
+
+
+def test_degree_beyond_the_packed_field_is_typed():
+    top = gb.MAX_DEGREE
+    x1, x2 = x(1, 2), x(2, 2)
+    assert gb.buchberger(Ideal(QQ, 2, [x1 ** top])).polys[0] == x1 ** top
+    with pytest.raises(BudgetExceededError):   # an input monomial
+        gb.buchberger(Ideal(QQ, 2, [x1 ** (top + 1)]))
+    with pytest.raises(BudgetExceededError):   # an lcm
+        gb.buchberger(Ideal(QQ, 2, [x1 ** 20000 * x2, x1 * x2 ** 20000]))
+    with pytest.raises(BudgetExceededError):   # a reduction: x1^2 -> x2^40000 in lex
+        gb.buchberger(Ideal(QQ, 2, [x1 - x2 ** 20000, x1 ** 2]), order=LEX)
+    with pytest.raises(BudgetExceededError):
+        gb.normal_form(x1 ** 2, gb.buchberger(Ideal(QQ, 2, [x1 - x2 ** 20000]), LEX))
+
+
 def test_lex_order_basis_and_dimension_agree():
     ideal = minor_ideal(3, 0, 2)
-    from hankelkit.polyring import LEX
     basis = gb.buchberger(ideal, order=LEX)
     assert gb.verify_basis(basis)
     assert gb.dimension(ideal, order=LEX) == gb.dimension(ideal)
@@ -335,6 +384,22 @@ def test_groebner_random_cross_validation(gens, p, q):
     assert gb.ideal_equal(ideal, fatter)
 
 
+# over prime fields: over QQ the lex bases of some such ideals carry
+# coefficients of thousands of digits and take minutes
+@settings(max_examples=25, deadline=None)
+@given(st.lists(small_polys, min_size=1, max_size=3),
+       st.sampled_from([PrimeField(5), PrimeField(32003)]))
+def test_degrevlex_and_lex_bases_span_one_ideal(gens, field):
+    gens = [Polynomial(field, 3, g.terms) for g in gens]
+    ideal = Ideal(field, 3, gens)
+    if not ideal.generators:
+        return
+    lex = gb.buchberger(ideal, order=LEX)
+    assert gb.verify_basis(lex)
+    drl = gb.buchberger(ideal)
+    assert gb.ideal_equal(Ideal(field, 3, lex.polys), Ideal(field, 3, drl.polys))
+
+
 # -- membership consistency at constructible zeros -----------------------------------
 
 def test_membership_consistent_with_monomial_zeros(rng):
@@ -394,6 +459,21 @@ def test_cache_round_trip_over_prime_field(tmp_path):
     assert cache.hits == 1
     assert [p.to_string() for p in first.polys] == [p.to_string() for p in second.polys]
     assert gb.verify_basis(second)
+
+
+def test_cache_misses_an_entry_of_another_engine(tmp_path, monkeypatch):
+    from hankelkit import ENGINE_VERSION, cache as cache_mod
+    from hankelkit.cache import GroebnerCache
+
+    cache = GroebnerCache(tmp_path, ENGINE_VERSION)
+    _, _, J = gradient_ideal(3, 1)
+    monkeypatch.setattr(cache_mod, "engine_digest", lambda: "another engine")
+    gb.buchberger(J, cache=cache)
+    monkeypatch.undo()
+    gb.buchberger(J, cache=cache)
+    assert cache.hits == 0 and cache.misses == 2
+    gb.buchberger(J, cache=cache)
+    assert cache.hits == 1
 
 
 def test_default_cache_hookup(tmp_path):
