@@ -341,7 +341,7 @@ def cofactor_relations_check(m: int, r: int, field=QQ,
                 expected = data.f if i == c else zero
                 if entry != expected:
                     block_ok = False
-                if not groebner.normal_form(entry, gb).is_zero():
+                if not groebner.reduces_to_zero(entry, gb, budget):
                     block_ok = False
 
     displayed = None
@@ -404,7 +404,7 @@ def minimal_primes_checks(m: int, r: int, budget: Optional[GBBudget] = None,
     in_p = codim_q = codim_p = codims_ok = radical_spot = None
     try:
         gb_p = groebner.buchberger(P, DEGREVLEX, budget, cache)
-        in_p = all(groebner.normal_form(fk, gb_p).is_zero() for fk in data.partials)
+        in_p = all(groebner.reduces_to_zero(fk, gb_p, budget) for fk in data.partials)
         codim_q = groebner.codimension(Q, DEGREVLEX, budget, cache)
         codim_p = groebner.codimension(P, DEGREVLEX, budget, cache)
         codims_ok = (codim_q == m - r) and (codim_p == 3)

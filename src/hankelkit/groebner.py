@@ -33,21 +33,13 @@ from typing import Optional, Sequence
 from .linalg import SpanEchelon, nullspace, poly_divide_exact, poly_matrix_rank
 from .polyring import (
     BlockOrder,
+    BudgetExceededError,
     DEGREVLEX,
     MonomialOrder,
     PolyError,
     Polynomial,
     QQ,
 )
-
-
-class BudgetExceededError(Exception):
-    """A Groebner computation ran over its configured budget."""
-
-    def __init__(self, what: str, limit: int):
-        super().__init__(f"budget exceeded: {what} > {limit}")
-        self.what = what
-        self.limit = limit
 
 
 @dataclass(frozen=True)
@@ -539,29 +531,35 @@ def buchberger(ideal: Ideal, order: MonomialOrder = DEGREVLEX,
     return gb
 
 
-def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
+def normal_form(p: Polynomial, gb: GroebnerBasis,
+                budget: Optional[GBBudget] = None) -> Polynomial:
     """Remainder of p under multivariate division by the basis; zero iff p is
-    in the ideal."""
+    in the ideal.  The budget's ``max_terms`` caps the terms in flight."""
     if p.field != gb.field or p.nvars != gb.nvars:
         raise PolyError("polynomial outside the basis ring")
     pk = packing(gb.order, gb.nvars)
     terms, scale = _to_kernel(p, pk)
     rem, rem_scale = _reduce_full(terms, gb.kernel_entries(), pk, _modulus(gb.field),
-                                  DEFAULT_BUDGET.max_terms)
+                                  (budget or DEFAULT_BUDGET).max_terms)
     return _from_kernel(rem, pk, p.field, p.nvars, scale * rem_scale)
 
 
-def _nf_is_zero(p: Polynomial, gb: GroebnerBasis, budget: GBBudget) -> bool:
+def reduces_to_zero(p: Polynomial, gb: GroebnerBasis,
+                    budget: Optional[GBBudget] = None) -> bool:
+    """Whether p lies in the ideal of the basis: ``normal_form(p, gb,
+    budget).is_zero()`` without rescaling the remainder."""
+    if p.field != gb.field or p.nvars != gb.nvars:
+        raise PolyError("polynomial outside the basis ring")
     pk = packing(gb.order, gb.nvars)
     terms = _to_kernel(p, pk)[0]
     return not _reduce_full(terms, gb.kernel_entries(), pk, _modulus(gb.field),
-                            budget.max_terms)[0]
+                            (budget or DEFAULT_BUDGET).max_terms)[0]
 
 
 def ideal_membership(p: Polynomial, ideal: Ideal, order: MonomialOrder = DEGREVLEX,
                      budget: Optional[GBBudget] = None, cache=None) -> bool:
     gb = buchberger(ideal, order, budget, cache)
-    return _nf_is_zero(p, gb, budget or DEFAULT_BUDGET)
+    return reduces_to_zero(p, gb, budget or DEFAULT_BUDGET)
 
 
 def ideal_equal(a: Ideal, b: Ideal, order: MonomialOrder = DEGREVLEX,
@@ -571,10 +569,10 @@ def ideal_equal(a: Ideal, b: Ideal, order: MonomialOrder = DEGREVLEX,
         raise PolyError("ideals live in different rings")
     budget = budget or DEFAULT_BUDGET
     gb_a = buchberger(a, order, budget, cache)
-    if not all(_nf_is_zero(g, gb_a, budget) for g in b.generators):
+    if not all(reduces_to_zero(g, gb_a, budget) for g in b.generators):
         return False
     gb_b = buchberger(b, order, budget, cache)
-    return all(_nf_is_zero(g, gb_b, budget) for g in a.generators)
+    return all(reduces_to_zero(g, gb_b, budget) for g in a.generators)
 
 
 def dimension(ideal: Ideal, order: MonomialOrder = DEGREVLEX,
@@ -831,7 +829,7 @@ def reduction_check(J: Ideal, I: Ideal, nmax: int,
     if dJ != dI:
         raise PolyError("J and I must share their generation degree")
     gb_i = buchberger(I, DEGREVLEX, budget, cache)
-    contained = all(_nf_is_zero(g, gb_i, budget) for g in J.generators)
+    contained = all(reduces_to_zero(g, gb_i, budget) for g in J.generators)
     if not contained:
         return ReductionReport(False, None, [], "span")
     fld = I.field

@@ -12,7 +12,7 @@ from math import gcd, lcm
 from operator import neg
 from typing import Sequence
 
-from .polyring import DEGREVLEX, QQ, Polynomial
+from .polyring import DEGREVLEX, QQ, Polynomial, mono_divides
 
 
 def _row_primitive(row: dict) -> tuple:
@@ -246,7 +246,7 @@ def poly_divide_exact(p: Polynomial, f: Polynomial) -> Polynomial:
     f_lm, f_lc = f.initial_term(DEGREVLEX)
     while not rem.is_zero():
         lm, lc = rem.initial_term(DEGREVLEX)
-        if not all(a >= b for a, b in zip(lm, f_lm)):
+        if not mono_divides(f_lm, lm):
             raise ArithmeticError("inexact polynomial division")
         mono = tuple(a - b for a, b in zip(lm, f_lm))
         coeff = fld.mul(lc, fld.inv(f_lc))

@@ -24,6 +24,15 @@ class PolyError(ValueError):
     """Base class for ring-usage errors."""
 
 
+class BudgetExceededError(Exception):
+    """A computation ran over its configured budget (see groebner.GBBudget)."""
+
+    def __init__(self, what: str, limit: int):
+        super().__init__(f"budget exceeded: {what} > {limit}")
+        self.what = what
+        self.limit = limit
+
+
 class FieldMismatchError(PolyError):
     pass
 

@@ -12,12 +12,12 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import Callable, Optional, Sequence
 
-from .groebner import BudgetExceededError
 from .linalg import SpanEchelon
 from .polyring import (
     DEGREVLEX,
     QQ,
     ArityMismatchError,
+    BudgetExceededError,
     IndexRangeError,
     PolyError,
     Polynomial,

@@ -64,6 +64,17 @@ def test_normal_form_idempotent():
     assert gb.normal_form(nf, basis) == nf
 
 
+def test_reduces_to_zero_is_the_normal_form_test_under_the_run_budget():
+    _, f, J = gradient_ideal(3, 1)
+    basis = gb.buchberger(J)
+    for p in (f, x(1, 4) * f + x(2, 4) ** 3, x(1, 4) * x(2, 4) * x(3, 4) + x(4, 4) ** 2):
+        assert gb.reduces_to_zero(p, basis) == gb.normal_form(p, basis).is_zero()
+    with pytest.raises(BudgetExceededError):
+        gb.reduces_to_zero(x(1, 4) * f, basis, GBBudget(max_terms=2))
+    with pytest.raises(BudgetExceededError):
+        gb.normal_form(x(1, 4) * f, basis, GBBudget(max_terms=2))
+
+
 def test_euler_forces_membership():
     _, f, J = gradient_ideal(3, 0)
     assert gb.ideal_membership(f, J)
