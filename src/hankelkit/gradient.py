@@ -15,7 +15,7 @@ from . import groebner
 from .groebner import BudgetExceededError, GBBudget, Ideal
 from .linalg import det, gauss_rank, nullspace
 from .polyring import DEGREVLEX, IndexRangeError, Polynomial, QQ, RingMap
-from .symmatrix import SymMatrix, block_partition, hankel_degeneration
+from .symmatrix import SymMatrix, block_partition, hankel_square
 
 
 def _check_params(m: int, r: int):
@@ -66,7 +66,7 @@ class GradientData:
 
 def gradient(m: int, r: int, field=QQ) -> GradientData:
     _check_params(m, r)
-    h = hankel_degeneration(m, r, field)
+    h = hankel_square(m, r, field)
     f = h.determinant()
     n = h.nvars
     partials = tuple(f.derivative(k) for k in range(1, n + 1))
@@ -119,7 +119,7 @@ def survivors(m: int, r: int) -> set:
 
 def hessian(m: int, r: int, field=QQ) -> HessianData:
     _check_params(m, r)
-    h = hankel_degeneration(m, r, field)
+    h = hankel_square(m, r, field)
     f = h.determinant()
     n = h.nvars
     partials = [f.derivative(k) for k in range(1, n + 1)]

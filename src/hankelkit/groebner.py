@@ -4,14 +4,18 @@ Supplies reduced bases, normal forms, Krull dimension via the initial ideal,
 elimination, intersection-based ideal quotients, radical membership, kernels
 of algebra maps, linear syzygies, and reduction-number checks.
 
-Inside the kernel a monomial is one int (``MonomialPacking``): per block of
-the monomial order, the prefix sums of the exponents in fixed-width fields.
-Plain int comparison is then the order, a product is ``+`` and divisibility
-is one guard-bit test.  Buchberger takes pairs by lcm degree and prunes them
-with the Gebauer-Moeller update.  One division loop, ``_reduce_full``, serves
-the basis computation, normal forms, membership, ideal equality and basis
-verification; polynomials are converted only when generators come in and
-reduced bases go out.
+Inside the kernel a monomial is one int in the packed format that
+``polyring.MonomialPacking`` defines, under the order of the computation:
+per block of the monomial order, the prefix sums of the exponents in
+fixed-width fields.  Plain int comparison is then the order, a product is
+``+`` and divisibility is one guard-bit test.  The format, its degree bound
+``MAX_DEGREE`` and the conversions to and from ``Polynomial`` live in
+``polyring``, which also multiplies polynomials and ``symmatrix``
+determinants on it.  Buchberger takes pairs by lcm degree and prunes them
+with the Gebauer-Moeller update.  One division loop, ``_reduce_full``,
+serves the basis computation, normal forms, membership, ideal equality and
+basis verification; polynomials are converted only when generators come in
+and reduced bases go out.
 
 Over QQ every intermediate polynomial is kept integer and primitive; leading
 coefficients are only normalized in the final reduced basis.  Budgets make
@@ -22,23 +26,30 @@ field, a first-class outcome instead of a crash.
 from __future__ import annotations
 
 import heapq
-import struct
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 from operator import itemgetter
 from typing import Optional, Sequence
 
 from .linalg import SpanEchelon, nullspace, poly_divide_exact, poly_matrix_rank
-from .polyring import (
+from .polyring import (  # MAX_DEGREE is re-exported: groebner.MAX_DEGREE
+    _FIELD_BITS,
+    _FIELD_MASK,
+    MAX_DEGREE,
     BlockOrder,
     BudgetExceededError,
     DEGREVLEX,
     MonomialOrder,
+    MonomialPacking,
     PolyError,
     Polynomial,
     QQ,
+    _from_kernel,
+    _lcm,
+    _overflow,
+    _to_kernel,
+    packing,
 )
 
 
@@ -117,7 +128,7 @@ class GroebnerBasis:
         """The basis as kernel entries (see ``_entry``), built on first use."""
         if self._entries is None:
             pk = packing(self.order, self.nvars)
-            mod = _modulus(self.field)
+            mod = self.field.characteristic
             self._entries = [_entry(_to_kernel(g, pk)[0], pk, mod) for g in self.polys]
         return self._entries
 
@@ -133,118 +144,6 @@ class GroebnerBasis:
 
 
 # ---------------------------------------------------------------------------
-# packed monomials
-
-_FIELD_BITS = 16
-_FIELD_MASK = (1 << _FIELD_BITS) - 1
-MAX_DEGREE = (1 << (_FIELD_BITS - 1)) - 1
-
-
-def _overflow() -> BudgetExceededError:
-    return BudgetExceededError("monomial block degree", MAX_DEGREE)
-
-
-class MonomialPacking:
-    """Monomials of one order on ``nvars`` variables as single ints.
-
-    ``order.blocks`` splits the variables into ranges compared in turn, each
-    by degrevlex.  The key of a monomial has one ``_FIELD_BITS``-wide field
-    per variable, holding the sum of the exponents from the first variable of
-    its block up to it; a block's fields run from its total at the top down to
-    its first variable, and the first block sits highest.  Degrevlex compares
-    exactly these prefix sums from the top, so int comparison of keys is the
-    order and the key of a product is the sum of the keys.
-
-    ``exps`` turns a key into the packed exponent vector (same fields, one
-    exponent each).  On those, ``b`` divides ``a`` iff ``a + guard - b`` keeps
-    every field's top (guard) bit, which all valid fields leave clear: a block
-    degree above ``MAX_DEGREE`` raises BudgetExceededError.
-    """
-
-    def __init__(self, order: MonomialOrder, nvars: int):
-        width = _FIELD_BITS
-        position = [0] * nvars
-        base = nvars
-        self.low = 0            # every field but the top field of its block
-        self.top_shifts = []    # bit offset of each block's top field
-        self._singles = 0       # the fields of one-variable blocks
-        self._prefix = []       # (offset, mask, repunit) of blocks of 2+ variables
-        for start, stop in order.blocks(nvars):
-            size = stop - start
-            if not size:
-                continue
-            base -= size
-            for j in range(start, stop):
-                position[j] = base + j - start
-            shift = width * base
-            self.top_shifts.append(shift + width * (size - 1))
-            self.low |= ((1 << width * (size - 1)) - 1) << shift
-            if size == 1:
-                self._singles |= _FIELD_MASK << shift
-            else:
-                repunit = sum(1 << width * t for t in range(size))
-                self._prefix.append((shift, (1 << width * size) - 1, repunit))
-        self.nvars = nvars
-        self.guard = sum(1 << (width * q + width - 1) for q in range(nvars))
-        self._struct = struct.Struct(f"<{nvars}H")
-        identity = position == list(range(nvars))
-        self._position = None if identity else position
-        self._variable = None if identity else sorted(range(nvars), key=position.__getitem__)
-
-    def from_exps(self, e: int) -> int:
-        """The key of the monomial with packed exponent vector ``e``."""
-        key = e & self._singles
-        for shift, mask, repunit in self._prefix:
-            key |= (((e >> shift) & mask) * repunit & mask) << shift
-        return key
-
-    def exps(self, key: int) -> int:
-        """The packed exponent vector of the monomial with this key."""
-        return key - ((key & self.low) << _FIELD_BITS)
-
-    def encode(self, exps: Sequence[int]) -> int:
-        """The key of an exponent tuple."""
-        if self._variable is not None:
-            exps = [exps[v] for v in self._variable]
-        try:
-            e = int.from_bytes(self._struct.pack(*exps), "little")
-        except struct.error:
-            raise _overflow() from None
-        key = self.from_exps(e)
-        if (e | key) & self.guard:
-            raise _overflow()
-        return key
-
-    def decode(self, key: int) -> tuple:
-        """The exponent tuple of a key."""
-        fields = self._struct.unpack(self.exps(key).to_bytes(2 * self.nvars, "little"))
-        if self._position is None:
-            return fields
-        return tuple(fields[q] for q in self._position)
-
-    def divides(self, a: int, b: int) -> bool:
-        """Whether the monomial with key ``a`` divides the one with key ``b``."""
-        guard = self.guard
-        return (self.exps(b) + guard - self.exps(a)) & guard == guard
-
-    def degree(self, key: int) -> int:
-        """Total degree: the sum of the block totals."""
-        return sum((key >> s) & _FIELD_MASK for s in self.top_shifts)
-
-
-@lru_cache(maxsize=None)
-def packing(order: MonomialOrder, nvars: int) -> MonomialPacking:
-    return MonomialPacking(order, nvars)
-
-
-def _lcm(a: int, b: int, guard: int) -> int:
-    """Fieldwise maximum of two packed exponent vectors."""
-    m = (a + guard - b) & guard     # the guard bit of every field where a >= b
-    m -= m >> (_FIELD_BITS - 1)     # widened to the field's value bits
-    return b ^ ((a ^ b) & m)
-
-
-# ---------------------------------------------------------------------------
 # the kernel: polynomials as dict[key -> int]; over QQ integer-primitive, over
 # GF(p) residues.  A basis element is an entry (lead key, divisor mask, lead
 # coefficient, tail, tops):
@@ -255,36 +154,6 @@ def _lcm(a: int, b: int, guard: int) -> int:
 #   tops          the largest degree of each block over the terms, in the
 #                 block's top field: a multiplier s keeps every product
 #                 inside the fields iff (s + tops) & guard == 0.
-
-def _modulus(field) -> int:
-    return 0 if field == QQ else field.p
-
-
-def _to_kernel(p: Polynomial, pk: MonomialPacking) -> tuple:
-    """(terms, scale) with terms = scale * p, integer-primitive over QQ."""
-    encode = pk.encode
-    if p.field != QQ:
-        return {encode(e): c for e, c in p.terms.items()}, 1
-    den = lcm(*(c.denominator for c in p.terms.values()))
-    terms = {encode(e): c.numerator * (den // c.denominator) for e, c in p.terms.items()}
-    content = gcd(*terms.values())
-    if content > 1:
-        terms = {k: c // content for k, c in terms.items()}
-    return terms, Fraction(den, content or 1)
-
-
-def _from_kernel(terms: dict, pk: MonomialPacking, field, nvars: int,
-                 scale=1) -> Polynomial:
-    """The polynomial ``terms / scale``."""
-    decode = pk.decode
-    if field != QQ:
-        out = {decode(k): c for k, c in terms.items()}
-    elif scale == 1:
-        out = {decode(k): Fraction(c) for k, c in terms.items()}
-    else:
-        out = {decode(k): Fraction(c) / scale for k, c in terms.items()}
-    return Polynomial(field, nvars, out, _trusted=True)
-
 
 def _entry(terms: dict, pk: MonomialPacking, p: int) -> tuple:
     """The entry of a nonzero polynomial, scaled to a positive lead
@@ -441,7 +310,7 @@ def buchberger(ideal: Ideal, order: MonomialOrder = DEGREVLEX,
         hit = cache.get(ideal, order)
         if hit is not None:
             return hit
-    p = _modulus(ideal.field)
+    p = ideal.field.characteristic
     pk = packing(order, ideal.nvars)
     guard = pk.guard
     entries: list = []      # the basis so far; pairs refer to indices
@@ -539,7 +408,7 @@ def normal_form(p: Polynomial, gb: GroebnerBasis,
         raise PolyError("polynomial outside the basis ring")
     pk = packing(gb.order, gb.nvars)
     terms, scale = _to_kernel(p, pk)
-    rem, rem_scale = _reduce_full(terms, gb.kernel_entries(), pk, _modulus(gb.field),
+    rem, rem_scale = _reduce_full(terms, gb.kernel_entries(), pk, gb.field.characteristic,
                                   (budget or DEFAULT_BUDGET).max_terms)
     return _from_kernel(rem, pk, p.field, p.nvars, scale * rem_scale)
 
@@ -552,7 +421,7 @@ def reduces_to_zero(p: Polynomial, gb: GroebnerBasis,
         raise PolyError("polynomial outside the basis ring")
     pk = packing(gb.order, gb.nvars)
     terms = _to_kernel(p, pk)[0]
-    return not _reduce_full(terms, gb.kernel_entries(), pk, _modulus(gb.field),
+    return not _reduce_full(terms, gb.kernel_entries(), pk, gb.field.characteristic,
                             (budget or DEFAULT_BUDGET).max_terms)[0]
 
 
@@ -879,7 +748,7 @@ def verify_basis(gb: GroebnerBasis, budget: Optional[GBBudget] = None) -> bool:
     """Post-hoc check: every S-polynomial of basis pairs reduces to zero, and
     no basis leading term divides another (reducedness)."""
     budget = budget or DEFAULT_BUDGET
-    mod = _modulus(gb.field)
+    mod = gb.field.characteristic
     pk = packing(gb.order, gb.nvars)
     guard = pk.guard
     entries = gb.kernel_entries()

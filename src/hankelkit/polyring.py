@@ -6,6 +6,13 @@ in lowest terms over the rationals and canonical residues in ``[0, p)`` over a
 prime field.  A monomial is an exponent tuple of fixed length ``nvars``;
 variable ``i`` (1-based, printed ``x<i>``) lives at tuple index ``i - 1``.
 
+Symbolic arithmetic runs on one packed kernel format (``MonomialPacking``):
+a monomial is a single int whose comparison is a monomial order and whose
+product is ``+``, with integer coefficients (cleared denominators over the
+rationals, residues over GF(p)).  Products, the determinants of
+``symmatrix`` and the Groebner engine convert to it once and back once; a
+block degree above ``MAX_DEGREE`` raises BudgetExceededError.
+
 The canonical text form (used for fixtures and the on-disk cache) is:
 signed terms joined by ``+``/``-``, each term ``c`` or ``c*x<i>^<e>*...`` with
 ``c`` a rational ``p/q`` (``/q`` omitted when q = 1, ``c*`` omitted when
@@ -16,7 +23,10 @@ decreasing degree-reverse-lexicographic order.
 from __future__ import annotations
 
 import re
+import struct
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 
@@ -291,6 +301,163 @@ def order_from_descriptor(text: str) -> MonomialOrder:
 
 
 # ---------------------------------------------------------------------------
+# packed monomials: the one kernel format for symbolic arithmetic
+
+_FIELD_BITS = 16
+_FIELD_MASK = (1 << _FIELD_BITS) - 1
+MAX_DEGREE = (1 << (_FIELD_BITS - 1)) - 1
+
+
+def _overflow() -> BudgetExceededError:
+    return BudgetExceededError("monomial block degree", MAX_DEGREE)
+
+
+class MonomialPacking:
+    """Monomials of one order on ``nvars`` variables as single ints.
+
+    ``order.blocks`` splits the variables into ranges compared in turn, each
+    by degrevlex.  The key of a monomial has one ``_FIELD_BITS``-wide field
+    per variable, holding the sum of the exponents from the first variable of
+    its block up to it; a block's fields run from its total at the top down to
+    its first variable, and the first block sits highest.  Degrevlex compares
+    exactly these prefix sums from the top, so int comparison of keys is the
+    order and the key of a product is the sum of the keys.
+
+    ``exps`` turns a key into the packed exponent vector (same fields, one
+    exponent each).  On those, ``b`` divides ``a`` iff ``a + guard - b`` keeps
+    every field's top (guard) bit, which all valid fields leave clear: a block
+    degree above ``MAX_DEGREE`` raises BudgetExceededError.
+    """
+
+    def __init__(self, order: MonomialOrder, nvars: int):
+        width = _FIELD_BITS
+        position = [0] * nvars
+        base = nvars
+        self.low = 0            # every field but the top field of its block
+        self.top_shifts = []    # bit offset of each block's top field
+        self._singles = 0       # the fields of one-variable blocks
+        self._prefix = []       # (offset, mask, repunit) of blocks of 2+ variables
+        for start, stop in order.blocks(nvars):
+            size = stop - start
+            if not size:
+                continue
+            base -= size
+            for j in range(start, stop):
+                position[j] = base + j - start
+            shift = width * base
+            self.top_shifts.append(shift + width * (size - 1))
+            self.low |= ((1 << width * (size - 1)) - 1) << shift
+            if size == 1:
+                self._singles |= _FIELD_MASK << shift
+            else:
+                repunit = sum(1 << width * t for t in range(size))
+                self._prefix.append((shift, (1 << width * size) - 1, repunit))
+        self.nvars = nvars
+        self.guard = sum(1 << (width * q + width - 1) for q in range(nvars))
+        self._struct = struct.Struct(f"<{nvars}H")
+        identity = position == list(range(nvars))
+        self._position = None if identity else position
+        self._variable = None if identity else sorted(range(nvars), key=position.__getitem__)
+
+    def from_exps(self, e: int) -> int:
+        """The key of the monomial with packed exponent vector ``e``."""
+        key = e & self._singles
+        for shift, mask, repunit in self._prefix:
+            key |= (((e >> shift) & mask) * repunit & mask) << shift
+        return key
+
+    def exps(self, key: int) -> int:
+        """The packed exponent vector of the monomial with this key."""
+        return key - ((key & self.low) << _FIELD_BITS)
+
+    def encode(self, exps: Sequence[int]) -> int:
+        """The key of an exponent tuple."""
+        if self._variable is not None:
+            exps = [exps[v] for v in self._variable]
+        try:
+            e = int.from_bytes(self._struct.pack(*exps), "little")
+        except struct.error:
+            raise _overflow() from None
+        key = self.from_exps(e)
+        if (e | key) & self.guard:
+            raise _overflow()
+        return key
+
+    def decode(self, key: int) -> tuple:
+        """The exponent tuple of a key."""
+        fields = self._struct.unpack(self.exps(key).to_bytes(2 * self.nvars, "little"))
+        if self._position is None:
+            return fields
+        return tuple(fields[q] for q in self._position)
+
+    def divides(self, a: int, b: int) -> bool:
+        """Whether the monomial with key ``a`` divides the one with key ``b``."""
+        guard = self.guard
+        return (self.exps(b) + guard - self.exps(a)) & guard == guard
+
+    def degree(self, key: int) -> int:
+        """Total degree: the sum of the block totals."""
+        return sum((key >> s) & _FIELD_MASK for s in self.top_shifts)
+
+
+@lru_cache(maxsize=None)
+def packing(order: MonomialOrder, nvars: int) -> MonomialPacking:
+    return MonomialPacking(order, nvars)
+
+
+def _lcm(a: int, b: int, guard: int) -> int:
+    """Fieldwise maximum of two packed exponent vectors."""
+    m = (a + guard - b) & guard     # the guard bit of every field where a >= b
+    m -= m >> (_FIELD_BITS - 1)     # widened to the field's value bits
+    return b ^ ((a ^ b) & m)
+
+
+def _to_kernel(p: Polynomial, pk: MonomialPacking) -> tuple:
+    """(terms, scale) with terms = scale * p, integer-primitive over QQ."""
+    encode = pk.encode
+    if p.field != QQ:
+        return {encode(e): c for e, c in p.terms.items()}, 1
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    terms = {encode(e): c.numerator * (den // c.denominator) for e, c in p.terms.items()}
+    content = gcd(*terms.values())
+    if content > 1:
+        terms = {k: c // content for k, c in terms.items()}
+    return terms, Fraction(den, content or 1)
+
+
+def _from_kernel(terms: dict, pk: MonomialPacking, field, nvars: int,
+                 scale=1) -> Polynomial:
+    """The polynomial ``terms / scale``."""
+    decode = pk.decode
+    if field != QQ:
+        out = {decode(k): c for k, c in terms.items()}
+    elif scale == 1:
+        out = {decode(k): Fraction(c) for k, c in terms.items()}
+    else:
+        scale = Fraction(scale)
+        num, den = scale.numerator, scale.denominator
+        out = {decode(k): Fraction(c * den, num) for k, c in terms.items()}
+    return Polynomial(field, nvars, out, _trusted=True)
+
+
+def _mul_add(acc: dict, a: dict, b: dict) -> None:
+    """acc += a * b on kernel terms with integer coefficients; a sum that
+    cancels stays in ``acc`` as a zero (see ``_settle``)."""
+    get = acc.get
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            k = ka + kb
+            acc[k] = get(k, 0) + ca * cb
+
+
+def _settle(acc: dict, p: int) -> dict:
+    """The nonzero terms of ``acc``, reduced to residues when ``p`` > 0."""
+    if p:
+        return {k: v for k, c in acc.items() if (v := c % p)}
+    return {k: c for k, c in acc.items() if c}
+
+
+# ---------------------------------------------------------------------------
 
 
 class Polynomial:
@@ -428,21 +595,18 @@ class Polynomial:
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
         fld = self.field
-        zero = fld.zero()
-        res: dict = {}
-        if len(self.terms) > len(other.terms):
-            left, right = other.terms, self.terms
-        else:
-            left, right = self.terms, other.terms
-        for e1, c1 in left.items():
-            for e2, c2 in right.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                s = fld.add(res.get(key, zero), fld.mul(c1, c2))
-                if s == zero:
-                    res.pop(key, None)
-                else:
-                    res[key] = s
-        return Polynomial(fld, self.nvars, res, _trusted=True)
+        if not self.terms or not other.terms:
+            return Polynomial.zero(fld, self.nvars)
+        pk = packing(DEGREVLEX, self.nvars)
+        a, scale_a = _to_kernel(self, pk)
+        b, scale_b = _to_kernel(other, pk)
+        # one degrevlex block: its top field is the total degree
+        if pk.degree(max(a)) + pk.degree(max(b)) > MAX_DEGREE:
+            raise _overflow()
+        acc: dict = {}
+        _mul_add(acc, a, b)
+        return _from_kernel(_settle(acc, fld.characteristic), pk, fld, self.nvars,
+                            scale_a * scale_b)
 
     def scale(self, value) -> "Polynomial":
         fld = self.field

@@ -10,11 +10,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import combinations, permutations
+from math import lcm
 from typing import Callable, Optional, Sequence
 
 from .linalg import SpanEchelon
 from .polyring import (
     DEGREVLEX,
+    MAX_DEGREE,
     QQ,
     ArityMismatchError,
     BudgetExceededError,
@@ -22,6 +24,12 @@ from .polyring import (
     PolyError,
     Polynomial,
     RingMap,
+    _from_kernel,
+    _mul_add,
+    _overflow,
+    _settle,
+    _to_kernel,
+    packing,
     parse_polynomial,
 )
 
@@ -142,36 +150,62 @@ class SymMatrix:
 
         Row k is expanded against every k-subset of columns, giving 2^n
         subproblems instead of n! cofactor paths; entries that are zero are
-        skipped, which matters for the degenerated matrices.  With
-        ``max_terms``, the term products of the expansion (terms of the entry
-        times terms of the minor, summed) are capped: BudgetExceededError.
+        skipped, which matters for the degenerated matrices.  The expansion
+        runs on the packed kernel of ``polyring`` (degrevlex keys, products by
+        ``+``) with integer coefficients: the entries are converted once, over
+        QQ each row scaled by the lcm of its denominators, and the result is
+        converted back once, divided by the product of those lcms.  Over GF(p)
+        each subproblem is reduced to residues.  A degree bound (the sum of
+        the rows' largest entry degrees) above ``MAX_DEGREE`` raises
+        BudgetExceededError before the expansion starts.  With ``max_terms``,
+        the term products of the expansion (terms of the entry times terms of
+        the minor, summed) are capped: BudgetExceededError.
         """
         if not self.is_square():
             raise MatrixShapeError("determinant of a non-square matrix")
         n = self.rows
-        zero = Polynomial.zero(self.field, self.nvars)
-        memo: dict = {(): Polynomial.one(self.field, self.nvars)}
+        fld = self.field
+        p = fld.characteristic
+        pk = packing(DEGREVLEX, self.nvars)
+        rows = []       # per row: (terms, negated terms) of each entry
+        scale = 1
+        degree = 0
+        for i in range(1, n + 1):
+            entries = self.row(i)
+            if p:
+                kernel = [_to_kernel(x, pk)[0] for x in entries]
+            else:
+                den = lcm(*(c.denominator for x in entries for c in x.terms.values()))
+                scale *= den
+                kernel = [{pk.encode(e): c.numerator * (den // c.denominator)
+                           for e, c in x.terms.items()} for x in entries]
+            degree += max((pk.degree(max(t)) for t in kernel if t), default=0)
+            rows.append([(t, {k: -c for k, c in t.items()}) for t in kernel])
+        if degree > MAX_DEGREE:
+            raise _overflow()
+        memo: dict = {(): {0: 1}}       # the previous row's minors; key 0 is 1
         products = 0
-        for size in range(1, n + 1):
-            for cols in combinations(range(1, n + 1), size):
-                acc = zero
+        for size, row in enumerate(rows, start=1):
+            level = {}
+            for cols in combinations(range(n), size):
+                acc: dict = {}
                 for pos, j in enumerate(cols):
-                    e = self.at(size, j)
-                    if e.is_zero():
+                    plus, minus = row[j]
+                    if not plus:
                         continue
-                    rest = cols[:pos] + cols[pos + 1:]
+                    minor = memo[cols[:pos] + cols[pos + 1:]]
                     if max_terms is not None:
-                        products += len(e.terms) * len(memo[rest].terms)
+                        products += len(plus) * len(minor)
                         if products > max_terms:
                             raise BudgetExceededError("determinant term products", max_terms)
-                    term = e * memo[rest]
                     # expansion along row `size`: sign (-1)^(size + pos + 1), pos 0-based
-                    acc = acc + term if (size + pos) % 2 == 1 else acc - term
-                memo[cols] = acc
-        return memo[tuple(range(1, n + 1))]
+                    _mul_add(acc, plus if (size + pos) % 2 == 1 else minus, minor)
+                level[cols] = _settle(acc, p)
+            memo = level
+        return _from_kernel(memo[tuple(range(n))], pk, fld, self.nvars, scale)
 
     def determinant_perm_oracle(self) -> Polynomial:
-        """Permutation-sum determinant; independent cross-check for n <= 5."""
+        """Permutation-sum determinant; independent cross-check for n <= 6."""
         if not self.is_square():
             raise MatrixShapeError("determinant of a non-square matrix")
         n = self.rows
@@ -287,18 +321,6 @@ def phi_endomorphism(m: int, r: int, field=QQ) -> RingMap:
     nvars = 2 * m - 1
     dead = range(2 * m - r, 2 * m)
     return RingMap.kill_variables(field, nvars, dead)
-
-
-def hankel_degeneration(m: int, r: int, field=QQ) -> SymMatrix:
-    """Build the square degeneration both directly and through the generic
-    matrix plus the kill map, compare, and return it (a standing self-test)."""
-    direct = hankel_square(m, r, field)
-    generic = hankel_square(m, 0, field)
-    phi = phi_endomorphism(m, r, field)
-    via_phi = generic.apply_map(phi).map_entries(lambda p: p.restrict_nvars(2 * m - 1 - r))
-    if via_phi != direct:
-        raise AssertionError(f"degeneration self-test failed at m={m}, r={r}")
-    return direct
 
 
 @dataclass

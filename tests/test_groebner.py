@@ -23,7 +23,7 @@ from hankelkit.polyring import (
     mono_divides,
     mono_mul,
 )
-from hankelkit.symmatrix import HankelSpec, hankel, hankel_square
+from hankelkit.symmatrix import HankelSpec, SymMatrix, hankel, hankel_square
 
 
 def x(i, nvars, field=QQ):
@@ -156,13 +156,18 @@ def test_degree_beyond_the_packed_field_is_typed():
     x1, x2 = x(1, 2), x(2, 2)
     assert gb.buchberger(Ideal(QQ, 2, [x1 ** top])).polys[0] == x1 ** top
     with pytest.raises(BudgetExceededError):   # an input monomial
-        gb.buchberger(Ideal(QQ, 2, [x1 ** (top + 1)]))
+        gb.buchberger(Ideal(QQ, 2, [Polynomial(QQ, 2, {(top + 1, 0): 1})]))
     with pytest.raises(BudgetExceededError):   # an lcm
         gb.buchberger(Ideal(QQ, 2, [x1 ** 20000 * x2, x1 * x2 ** 20000]))
     with pytest.raises(BudgetExceededError):   # a reduction: x1^2 -> x2^40000 in lex
         gb.buchberger(Ideal(QQ, 2, [x1 - x2 ** 20000, x1 ** 2]), order=LEX)
     with pytest.raises(BudgetExceededError):
         gb.normal_form(x1 ** 2, gb.buchberger(Ideal(QQ, 2, [x1 - x2 ** 20000]), LEX))
+    with pytest.raises(BudgetExceededError, match="monomial block degree"):   # a product
+        (x1 ** 20000) * (x1 ** 20000)
+    big = SymMatrix(2, 2, [x1 ** 20000, x2, x2, x1 ** 20000])
+    with pytest.raises(BudgetExceededError, match="monomial block degree"):   # a determinant
+        big.determinant()
 
 
 def test_lex_order_basis_and_dimension_agree():

@@ -2,11 +2,13 @@
 minors, block partitions, and the maximal-minor transfer."""
 
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hankelkit.linalg import span_dimension
-from hankelkit.polyring import Polynomial, QQ
+from hankelkit.polyring import BudgetExceededError, Polynomial, PrimeField, QQ
 from hankelkit.symmatrix import (
     HankelSpec,
     MatrixShapeError,
@@ -14,7 +16,6 @@ from hankelkit.symmatrix import (
     block_partition,
     gruson_peskine_check,
     hankel,
-    hankel_degeneration,
     hankel_square,
     phi_endomorphism,
 )
@@ -56,11 +57,48 @@ def test_det_h3_matches_oracle():
     assert f.to_string() == "-x3^3+2*x2*x3*x4-x1*x4^2-x2^2*x5+x1*x3*x5"
 
 
-@pytest.mark.parametrize("m", [2, 3, 4, 5])
-def test_det_memo_equals_permutation_oracle(m):
-    for r in range(0, m - 1):
-        h = hankel_square(m, r)
-        assert h.determinant() == h.determinant_perm_oracle()
+NVARS = 3
+
+
+@st.composite
+def square_matrices(draw, n):
+    """n x n matrices over QQ, GF(3) or GF(32003): a Hankel degeneration, or
+    entries that are zero, constants or up to three terms, with a denominator
+    drawn per row (prime to both moduli)."""
+    field = draw(st.sampled_from([QQ, PrimeField(3), PrimeField(32003)]))
+    if draw(st.booleans()):
+        return hankel_square(n, draw(st.integers(0, max(n - 2, 0))), field)
+    exps = st.tuples(*[st.integers(min_value=0, max_value=2)] * NVARS)
+    entries = []
+    for _ in range(n):
+        den = draw(st.sampled_from([1, 2, 4, 5, 7, 10]))
+        coeff = st.integers(min_value=-6, max_value=6).map(lambda c, d=den: Fraction(c, d))
+        for _ in range(n):
+            kind = draw(st.sampled_from(["zero", "constant", "terms"]))
+            if kind == "zero":
+                terms = {}
+            elif kind == "constant":
+                terms = {(0,) * NVARS: draw(coeff)}
+            else:
+                terms = draw(st.dictionaries(exps, coeff, min_size=1, max_size=3))
+            entries.append(Polynomial(field, NVARS, terms))
+    return SymMatrix(n, n, entries)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_det_memo_equals_permutation_oracle(n, data):
+    h = data.draw(square_matrices(n))
+    assert h.determinant() == h.determinant_perm_oracle()
+
+
+def test_det_budget_counts_every_term_product():
+    # P = 62 term products for the generic order-4 matrix over GF(3)
+    h = hankel_square(4, 0, PrimeField(3))
+    assert h.determinant(max_terms=62) == h.determinant()
+    with pytest.raises(BudgetExceededError):
+        h.determinant(max_terms=61)
 
 
 def test_det_nonzero_with_unit_antidiagonal_coefficient():
@@ -150,9 +188,14 @@ def test_phi_endomorphism_images():
 
 
 def test_phi_matches_direct_degeneration():
-    for m in (2, 3, 4, 5):
-        for r in range(0, m - 1):
-            hankel_degeneration(m, r)  # raises on mismatch
+    for field in (QQ, PrimeField(3)):
+        for m in (2, 3, 4, 5, 6):
+            generic = hankel_square(m, 0, field)
+            for r in range(0, m - 1):
+                phi = phi_endomorphism(m, r, field)
+                via_phi = generic.apply_map(phi).map_entries(
+                    lambda p: p.restrict_nvars(2 * m - 1 - r))
+                assert via_phi == hankel_square(m, r, field)
 
 
 def test_phi_carries_minor_ideals():
