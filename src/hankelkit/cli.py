@@ -105,13 +105,14 @@ def cmd_det(m, r, cfg: RunConfig):
 
 def cmd_gradient(m, r, cfg: RunConfig):
     data = gradient.gradient(m, r, cfg.field)
-    report = data.decomposition
-    verdict = "pass" if report["all_equal"] else "fail"
+    report = gradient.cofactor_decomposition_check(data)
+    ok = report["all_equal"]
     witness = {"partials": len(data.partials),
                "cofactor_decomposition": {str(k): v for k, v in report["per_k"].items()}}
     if cfg.field == QQ:
-        witness["euler_identity"] = True  # enforced at construction
-    return verdict, witness
+        witness["euler_identity"] = euler = gradient.euler_identity_check(data)
+        ok = ok and euler
+    return "pass" if ok else "fail", witness
 
 
 def cmd_hessian_check(m, r, cfg: RunConfig):

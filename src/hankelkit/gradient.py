@@ -31,8 +31,8 @@ class GradientData:
 
     delta(i, j) is the signed cofactor of the (j, i) entry of the matrix,
     built lazily and memoized.  Constructed through :func:`gradient`, which
-    verifies the cofactor decomposition of every partial and (over QQ) the
-    Euler identity; ``decomposition`` keeps the report of that check.
+    checks nothing: :func:`cofactor_decomposition_check` and
+    :func:`euler_identity_check` verify the data on request.
     """
 
     m: int
@@ -40,7 +40,6 @@ class GradientData:
     matrix: SymMatrix
     f: Polynomial
     partials: tuple
-    decomposition: Optional[dict] = None
     _cofactors: dict = dc_field(default_factory=dict, repr=False)
 
     def delta(self, i: int, j: int) -> Polynomial:
@@ -68,19 +67,8 @@ def gradient(m: int, r: int, field=QQ) -> GradientData:
     _check_params(m, r)
     h = hankel_square(m, r, field)
     f = h.determinant()
-    n = h.nvars
-    partials = tuple(f.derivative(k) for k in range(1, n + 1))
-    data = GradientData(m, r, h, f, partials)
-    report = data.decomposition = cofactor_decomposition_check(data)
-    if not report["all_equal"]:
-        raise AssertionError(f"cofactor decomposition failed at m={m}, r={r}")
-    if field == QQ:
-        euler = Polynomial.zero(field, n)
-        for k, fk in enumerate(partials, start=1):
-            euler = euler + Polynomial.variable(field, n, k) * fk
-        if euler != f.scale(m):
-            raise AssertionError(f"Euler identity failed at m={m}, r={r}")
-    return data
+    partials = tuple(f.derivative(k) for k in range(1, h.nvars + 1))
+    return GradientData(m, r, h, f, partials)
 
 
 def cofactor_decomposition_check(data: GradientData) -> dict:
@@ -97,6 +85,15 @@ def cofactor_decomposition_check(data: GradientData) -> dict:
         verdicts[k] = (total == fk)
     return {"m": m, "r": data.r, "per_k": verdicts,
             "all_equal": all(verdicts.values())}
+
+
+def euler_identity_check(data: GradientData) -> bool:
+    """f is homogeneous of degree m, so sum_k x_k f_k must equal m f."""
+    f, n = data.f, data.nvars
+    total = Polynomial.zero(f.field, n)
+    for k, fk in enumerate(data.partials, start=1):
+        total = total + Polynomial.variable(f.field, n, k) * fk
+    return total == f.scale(data.m)
 
 
 @dataclass

@@ -55,10 +55,9 @@ class SpanEchelon:
         """(row, mul, div) with row = mul/div * terms: the nonzero entries as
         an integer-primitive row over QQ, as residues over GF(p)."""
         if self.field == QQ:
-            fracs = {k: Fraction(c) for k, c in terms.items() if c}
-            den = lcm(*(f.denominator for f in fracs.values()))
+            den = lcm(*(c.denominator for c in terms.values()))
             row, content = _row_primitive(
-                {k: f.numerator * (den // f.denominator) for k, f in fracs.items()})
+                {k: c.numerator * (den // c.denominator) for k, c in terms.items() if c})
             return row, den, content
         coerce = self.field.coerce
         return {k: v for k, c in terms.items() if (v := coerce(c))}, 1, 1

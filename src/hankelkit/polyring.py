@@ -1,10 +1,14 @@
 """Exact sparse multivariate polynomials over the rationals or a prime field.
 
 Polynomials are immutable values: every operation returns a fresh object, so
-they are safe to share between threads.  Coefficients are `fractions.Fraction`
-in lowest terms over the rationals and canonical residues in ``[0, p)`` over a
-prime field.  A monomial is an exponent tuple of fixed length ``nvars``;
-variable ``i`` (1-based, printed ``x<i>``) lives at tuple index ``i - 1``.
+they are safe to share between threads.  Over the rationals a coefficient is
+an ``int`` when it is integral and a `fractions.Fraction` in lowest terms
+otherwise; code compares coefficients by value (``3 == Fraction(3)``, and the
+two hash alike), never by type.  Over a prime field coefficients are
+canonical residues in ``[0, p)``.  Sums, scalings and derivatives use the
+native ``int``/``Fraction`` operators, reduced mod p over GF(p).  A monomial
+is an exponent tuple of fixed length ``nvars``; variable ``i`` (1-based,
+printed ``x<i>``) lives at tuple index ``i - 1``.
 
 Symbolic arithmetic runs on one packed kernel format (``MonomialPacking``):
 a monomial is a single int whose comparison is a monomial order and whose
@@ -73,7 +77,8 @@ def _is_prime(p: int) -> bool:
 
 
 class Rationals:
-    """The coefficient field QQ."""
+    """The coefficient field QQ: an element is an ``int`` when integral, else a
+    ``Fraction`` in lowest terms; both kinds compare and hash by value."""
 
     characteristic = 0
     _instance = None
@@ -83,14 +88,17 @@ class Rationals:
             cls._instance = super().__new__(cls)
         return cls._instance
 
-    def coerce(self, value) -> Fraction:
-        return Fraction(value)
+    def coerce(self, value):
+        if type(value) is int:
+            return value
+        f = Fraction(value)
+        return f.numerator if f.denominator == 1 else f
 
-    def zero(self) -> Fraction:
-        return Fraction(0)
+    def zero(self) -> int:
+        return 0
 
-    def one(self) -> Fraction:
-        return Fraction(1)
+    def one(self) -> int:
+        return 1
 
     def add(self, a, b):
         return a + b
@@ -107,11 +115,10 @@ class Rationals:
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
-        return 1 / Fraction(a)
+        return self.coerce(Fraction(1, a))
 
     def format(self, a) -> str:
-        f = Fraction(a)
-        return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+        return str(a)
 
     def __eq__(self, other):
         return isinstance(other, Rationals)
@@ -136,6 +143,8 @@ class PrimeField:
         self.characteristic = p
 
     def coerce(self, value) -> int:
+        if type(value) is int:
+            return value % self.p
         if isinstance(value, Fraction):
             den = value.denominator % self.p
             if den == 0:
@@ -429,14 +438,14 @@ def _from_kernel(terms: dict, pk: MonomialPacking, field, nvars: int,
                  scale=1) -> Polynomial:
     """The polynomial ``terms / scale``."""
     decode = pk.decode
-    if field != QQ:
-        out = {decode(k): c for k, c in terms.items()}
-    elif scale == 1:
-        out = {decode(k): Fraction(c) for k, c in terms.items()}
-    else:
-        scale = Fraction(scale)
-        num, den = scale.numerator, scale.denominator
-        out = {decode(k): Fraction(c * den, num) for k, c in terms.items()}
+    if scale == 1:
+        return Polynomial(field, nvars, {decode(k): c for k, c in terms.items()},
+                          _trusted=True)
+    num, den = scale.numerator, scale.denominator
+    out = {}
+    for k, c in terms.items():
+        q, rem = divmod(c * den, num)
+        out[decode(k)] = Fraction(c * den, num) if rem else q
     return Polynomial(field, nvars, out, _trusted=True)
 
 
@@ -461,7 +470,12 @@ def _settle(acc: dict, p: int) -> dict:
 
 
 class Polynomial:
-    """A sparse exact polynomial: ``terms`` maps exponent tuples to nonzero coefficients."""
+    """A sparse exact polynomial: ``terms`` maps exponent tuples to nonzero coefficients.
+
+    With ``_trusted`` the constructor takes ``terms`` as it is, without
+    checking or copying it: the caller hands over a fresh dict of nonzero
+    canonical coefficients.
+    """
 
     __slots__ = ("field", "nvars", "terms")
 
@@ -470,7 +484,7 @@ class Polynomial:
         self.field = field
         self.nvars = nvars
         if _trusted:
-            self.terms = dict(terms) if terms else {}
+            self.terms = terms
             return
         clean = {}
         if terms:
@@ -563,34 +577,39 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        fld = self.field
-        zero = fld.zero()
+        p = self.field.characteristic
         res = dict(self.terms)
+        get = res.get
         for exps, c in other.terms.items():
-            s = fld.add(res.get(exps, zero), c)
-            if s == zero:
-                res.pop(exps, None)
-            else:
+            old = get(exps)
+            if old is None:
+                res[exps] = c
+            elif s := (old + c) % p if p else old + c:
                 res[exps] = s
-        return Polynomial(fld, self.nvars, res, _trusted=True)
+            else:
+                del res[exps]
+        return Polynomial(self.field, self.nvars, res, _trusted=True)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        fld = self.field
-        zero = fld.zero()
+        p = self.field.characteristic
         res = dict(self.terms)
+        get = res.get
         for exps, c in other.terms.items():
-            s = fld.sub(res.get(exps, zero), c)
-            if s == zero:
-                res.pop(exps, None)
-            else:
+            old = get(exps)
+            if old is None:
+                res[exps] = p - c if p else -c
+            elif s := (old - c) % p if p else old - c:
                 res[exps] = s
-        return Polynomial(fld, self.nvars, res, _trusted=True)
+            else:
+                del res[exps]
+        return Polynomial(self.field, self.nvars, res, _trusted=True)
 
     def __neg__(self) -> "Polynomial":
-        fld = self.field
-        return Polynomial(fld, self.nvars, {e: fld.neg(c) for e, c in self.terms.items()},
-                          _trusted=True)
+        p = self.field.characteristic
+        terms = ({e: p - c for e, c in self.terms.items()} if p
+                 else {e: -c for e, c in self.terms.items()})
+        return Polynomial(self.field, self.nvars, terms, _trusted=True)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
@@ -611,18 +630,24 @@ class Polynomial:
     def scale(self, value) -> "Polynomial":
         fld = self.field
         c0 = fld.coerce(value)
-        if c0 == fld.zero():
+        if not c0:
             return Polynomial.zero(fld, self.nvars)
-        return Polynomial(fld, self.nvars,
-                          {e: fld.mul(c, c0) for e, c in self.terms.items()}, _trusted=True)
+        if c0 == 1:
+            return Polynomial(fld, self.nvars, dict(self.terms), _trusted=True)
+        p = fld.characteristic
+        terms = ({e: c * c0 % p for e, c in self.terms.items()} if p
+                 else {e: c * c0 for e, c in self.terms.items()})
+        return Polynomial(fld, self.nvars, terms, _trusted=True)
 
     def mul_term(self, exps: tuple, coeff) -> "Polynomial":
         fld = self.field
         c0 = fld.coerce(coeff)
-        if c0 == fld.zero():
+        if not c0:
             return Polynomial.zero(fld, self.nvars)
+        p = fld.characteristic
         return Polynomial(fld, self.nvars,
-                          {mono_mul(e, exps): fld.mul(c, c0) for e, c in self.terms.items()},
+                          {mono_mul(e, exps): c * c0 % p if p else c * c0
+                           for e, c in self.terms.items()},
                           _trusted=True)
 
     def __pow__(self, k: int) -> "Polynomial":
@@ -650,39 +675,31 @@ class Polynomial:
         """Formal partial derivative with respect to x_i (1-based)."""
         if not 1 <= i <= self.nvars:
             raise IndexRangeError(f"variable index {i} outside 1..{self.nvars}")
-        fld = self.field
-        zero = fld.zero()
+        # lowering one exponent maps distinct terms to distinct terms
+        p = self.field.characteristic
         idx = i - 1
         res: dict = {}
         for exps, c in self.terms.items():
             e = exps[idx]
-            if e == 0:
-                continue
-            c2 = fld.mul(c, fld.coerce(e))
-            if c2 == zero:
-                continue
-            key = exps[:idx] + (e - 1,) + exps[idx + 1:]
-            s = fld.add(res.get(key, zero), c2)
-            if s == zero:
-                res.pop(key, None)
-            else:
-                res[key] = s
-        return Polynomial(fld, self.nvars, res, _trusted=True)
+            if e and (c2 := c * e % p if p else c * e):
+                res[exps[:idx] + (e - 1,) + exps[idx + 1:]] = c2
+        return Polynomial(self.field, self.nvars, res, _trusted=True)
 
     def evaluate(self, point: Sequence):
         """Exact value at a point of field elements."""
         if len(point) != self.nvars:
             raise ArityMismatchError(f"point has {len(point)} coordinates, ring has {self.nvars}")
         fld = self.field
+        p = fld.characteristic
         vals = [fld.coerce(v) for v in point]
-        total = fld.zero()
+        total = 0
         for exps, c in self.terms.items():
             term = c
             for v, e in zip(vals, exps):
                 if e:
-                    term = fld.mul(term, v ** e if isinstance(v, Fraction) else pow(v, e, fld.p))
-            total = fld.add(total, term)
-        return total
+                    term = term * pow(v, e, p) % p if p else term * v ** e
+            total += term
+        return total % p if p else fld.coerce(total)
 
     # -- order-dependent views -------------------------------------------------
 
@@ -710,19 +727,16 @@ class Polynomial:
         if self.field != QQ:
             raise FieldMismatchError("content extraction is defined over QQ")
         if not self.terms:
-            return Fraction(0), self
-        num_gcd = 0
-        den_lcm = 1
-        for c in self.terms.values():
-            num_gcd = _gcd(num_gcd, abs(c.numerator))
-            den_lcm = den_lcm * c.denominator // _gcd(den_lcm, c.denominator)
-        content = Fraction(num_gcd, den_lcm)
-        lead = max(self.terms, key=DEGREVLEX.key)
-        if self.terms[lead] < 0:
-            content = -content
+            return 0, self
+        coeffs = self.terms.values()
+        num = gcd(*(c.numerator for c in coeffs))
+        den = lcm(*(c.denominator for c in coeffs))
+        if self.terms[max(self.terms, key=DEGREVLEX.key)] < 0:
+            num = -num
         prim = Polynomial(QQ, self.nvars,
-                          {e: c / content for e, c in self.terms.items()}, _trusted=True)
-        return content, prim
+                          {e: c.numerator * (den // c.denominator) // num
+                           for e, c in self.terms.items()}, _trusted=True)
+        return QQ.coerce(Fraction(num, den)), prim
 
     def primitive(self) -> "Polynomial":
         return self.content_and_primitive()[1]
@@ -756,19 +770,16 @@ class Polynomial:
         if not self.terms:
             return "0"
         fld = self.field
+        signed = not fld.characteristic
         pieces = []
         for exps, coeff in self.sorted_terms(order):
-            if isinstance(coeff, Fraction):
-                negative = coeff < 0
-                mag = -coeff if negative else coeff
-            else:
-                negative = False
-                mag = coeff
+            negative = signed and coeff < 0
+            mag = -coeff if negative else coeff
             factors = [f"x{i + 1}" + (f"^{e}" if e > 1 else "")
                        for i, e in enumerate(exps) if e]
             if not factors:
                 body = fld.format(mag)
-            elif mag == fld.one():
+            elif mag == 1:
                 body = "*".join(factors)
             else:
                 body = fld.format(mag) + "*" + "*".join(factors)
@@ -783,12 +794,6 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({self.field!r}, {self.nvars}, {self.to_string()})"
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 _TERM_RE = re.compile(
@@ -814,7 +819,12 @@ def parse_polynomial(text: str, field, nvars: int) -> Polynomial:
             raise PolyError(f"cannot parse polynomial text at position {pos}: {text!r}")
         coeff_text = m.group("coeff")
         var_text = m.group("vars")
-        coeff = Fraction(coeff_text) if coeff_text else Fraction(1)
+        if not coeff_text:
+            coeff = 1
+        elif "/" in coeff_text:
+            coeff = Fraction(coeff_text)
+        else:
+            coeff = int(coeff_text)
         exps = [0] * nvars
         for vm in _VAR_RE.finditer(var_text):
             i = int(vm.group(1))
@@ -826,7 +836,7 @@ def parse_polynomial(text: str, field, nvars: int) -> Polynomial:
         value = field.coerce(coeff if sign > 0 else -coeff)
         if key in terms:
             value = field.add(terms[key], value)
-        if value == field.zero():
+        if not value:
             terms.pop(key, None)
         else:
             terms[key] = value
@@ -898,7 +908,7 @@ class RingMap:
         if p.field != self.field:
             raise FieldMismatchError("polynomial and map coefficients differ")
         fld = self.field
-        zero = fld.zero()
+        mod = fld.characteristic
         if self._simple is not None:
             res: dict = {}
             for exps, c in p.terms.items():
@@ -915,17 +925,18 @@ class RingMap:
                     for j, ee in enumerate(img_exps):
                         if ee:
                             out[j] += ee * e
-                    if img_c != fld.one():
-                        coeff = fld.mul(coeff, img_c ** e if isinstance(img_c, Fraction)
-                                        else pow(img_c, e, fld.p))
+                    if img_c != 1:
+                        coeff = coeff * pow(img_c, e, mod) % mod if mod else coeff * img_c ** e
                 if dead:
                     continue
                 key = tuple(out)
-                s = fld.add(res.get(key, zero), coeff)
-                if s == zero:
-                    res.pop(key, None)
-                else:
+                s = res.get(key, 0) + coeff
+                if mod:
+                    s %= mod
+                if s:
                     res[key] = s
+                else:
+                    res.pop(key, None)
             return Polynomial(fld, self.target_nvars, res, _trusted=True)
         total = Polynomial.zero(fld, self.target_nvars)
         powers: dict = {}

@@ -32,6 +32,16 @@ def test_euler_identity_all_small_cells():
             assert total == data.f.scale(m)
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["QQ", "F3"])
+@pytest.mark.parametrize("m,r", [(m, r) for m in range(2, 7) for r in range(m - 1)])
+def test_gradient_self_checks(m, r, field):
+    data = gr.gradient(m, r, field)
+    report = gr.cofactor_decomposition_check(data)
+    assert report["per_k"] == {k: True for k in range(1, data.nvars + 1)}
+    assert report["all_equal"]
+    assert gr.euler_identity_check(data)
+
+
 def test_cofactor_decomposition_matches_named_cases():
     data = gr.gradient(3, 0)
     # f_1 is the (1,1) cofactor, f_2 twice the (1,2) one

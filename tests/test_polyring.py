@@ -50,6 +50,37 @@ def det_oracle(grid, nvars, field=QQ):
     return {k: v for k, v in total.items() if v}
 
 
+def oracle_add(a, b, sign=1):
+    """a + sign * b on dicts of exponent tuple -> Fraction."""
+    out = {e: Fraction(c) for e, c in a.items()}
+    for e, c in b.items():
+        out[e] = out.get(e, Fraction(0)) + sign * Fraction(c)
+    return out
+
+
+def oracle_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            key = tuple(u + v for u, v in zip(e1, e2))
+            out[key] = out.get(key, Fraction(0)) + Fraction(c1) * Fraction(c2)
+    return out
+
+
+def oracle_derivative(a, i):
+    out = {}
+    for e, c in a.items():
+        if e[i - 1]:
+            key = e[:i - 1] + (e[i - 1] - 1,) + e[i:]
+            out[key] = out.get(key, Fraction(0)) + Fraction(c) * e[i - 1]
+    return out
+
+
+def in_field(terms, field):
+    """The nonzero field images of an oracle's Fraction coefficients."""
+    return {e: v for e, c in terms.items() if (v := field.coerce(Fraction(c)))}
+
+
 def hankel_grid(m, r):
     nvars = 2 * m - 1 - r
     grid = []
@@ -261,3 +292,51 @@ def test_initial_term_multiplicative(p, q):
 @given(polys)
 def test_text_round_trip_property(p):
     assert parse_polynomial(p.to_string(), QQ, NVARS) == p
+
+
+
+# integral and fractional QQ, and two prime fields where large coefficients wrap
+FIELD_CASES = {
+    "QQ-integral": (QQ, st.integers(min_value=-6, max_value=6)),
+    "QQ-fractional": (QQ, st.fractions(min_value=-6, max_value=6, max_denominator=6)),
+    "F3": (PrimeField(3), st.integers(min_value=-10, max_value=10)),
+    "F32003": (PrimeField(32003), st.integers(min_value=-10**5, max_value=10**5)),
+}
+# exponents up to 3, so that over GF(3) a derivative can kill a term
+exps3 = st.tuples(*[st.integers(min_value=0, max_value=3) for _ in range(NVARS)])
+
+
+@pytest.mark.parametrize("case", sorted(FIELD_CASES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_arithmetic_matches_fraction_oracle(case, data):
+    field, coeffs_of = FIELD_CASES[case]
+    terms = st.dictionaries(exps3, coeffs_of, max_size=5)
+    a, b = data.draw(terms), data.draw(terms)
+    c = data.draw(coeffs_of)
+    i = data.draw(st.integers(min_value=1, max_value=NVARS))
+    p, q = Polynomial(field, NVARS, a), Polynomial(field, NVARS, b)
+    assert p.terms == in_field(a, field)
+    assert (p + q).terms == in_field(oracle_add(a, b), field)
+    assert (p - q).terms == in_field(oracle_add(a, b, -1), field)
+    assert (-p).terms == in_field(oracle_add({}, a, -1), field)
+    assert p.scale(c).terms == in_field(oracle_mul(a, {(0,) * NVARS: c}), field)
+    assert p.derivative(i).terms == in_field(oracle_derivative(a, i), field)
+    assert (p * q).terms == in_field(oracle_mul(a, b), field)
+    for r in (p, p - q, p.scale(c), p * q):
+        back = parse_polynomial(r.to_string(), field, NVARS)
+        assert back == r and hash(back) == hash(r)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.dictionaries(exps, FIELD_CASES["QQ-fractional"][1], max_size=5),
+       st.lists(st.integers(min_value=-4, max_value=4), min_size=NVARS, max_size=NVARS))
+def test_evaluate_at_int_and_fraction_points(terms, point):
+    p = Polynomial(QQ, NVARS, terms)
+    expect = Fraction(0)
+    for e, c in terms.items():
+        term = Fraction(c)
+        for v, k in zip(point, e):
+            term *= Fraction(v) ** k
+        expect += term
+    assert p.evaluate(point) == p.evaluate([Fraction(v) for v in point]) == expect
