@@ -294,7 +294,6 @@ def test_text_round_trip_property(p):
     assert parse_polynomial(p.to_string(), QQ, NVARS) == p
 
 
-
 # integral and fractional QQ, and two prime fields where large coefficients wrap
 FIELD_CASES = {
     "QQ-integral": (QQ, st.integers(min_value=-6, max_value=6)),
