@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -20,30 +21,22 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from . import ENGINE_VERSION, gradient, groebner, minorposet
 from .cache import GroebnerCache
 from .groebner import BudgetExceededError, GBBudget, Ideal
 from .polyring import (
     DEGREVLEX,
-    LEX,
     PolyError,
-    Polynomial,
     PrimeField,
     QQ,
     field_from_descriptor,
+    order_from_descriptor,
 )
 from .symmatrix import hankel_square, gruson_peskine_check
 
 SCHEMA = "hankelkit-report-1"
-
-COMMANDS = [
-    "det", "gradient", "hessian-check", "appendix-check", "theta-check",
-    "codim-minors", "codim-gradient", "gp-check", "poset", "pluecker",
-    "level-decomp", "fiber-kernel", "linear-rank", "reduction-check",
-    "minimal-primes", "regular-seq",
-]
 
 EXIT_CODES = {"pass": 0, "consistent": 0, "fail": 1, "counterexample": 1,
               "budget-exceeded": 2}
@@ -64,24 +57,6 @@ class RunConfig:
 
     def rng(self) -> random.Random:
         return random.Random(self.seed)
-
-
-def _field_descriptor(field) -> str:
-    return field.descriptor()
-
-
-def _require(cfg: RunConfig, field=QQ, order=DEGREVLEX):
-    """Reject a --field or --order that the command would not honour, so a
-    report never records one it did not use (field=None: any field)."""
-    if field is not None and cfg.field != field:
-        raise UsageError(f"this command computes over {field.descriptor()} only")
-    if cfg.order != order:
-        raise UsageError(f"this command computes in {order.descriptor()} only")
-
-
-def _gradient_ideal(m: int, r: int, field) -> tuple:
-    data = gradient.gradient(m, r, field)
-    return data, data.ideal()
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +134,6 @@ def cmd_codim_minors(m, r, t, cfg: RunConfig):
 def cmd_codim_gradient(m, r, cfg: RunConfig):
     if m < 3:
         raise UsageError("the codimension table starts at m = 3")
-    _require(cfg)
     codim = gradient.gradient_codim(m, r, cfg.budget, cfg.cache)
     expect = 2 if m - r == 2 else 3
     verdict = "pass" if codim == expect else "fail"
@@ -169,7 +143,6 @@ def cmd_codim_gradient(m, r, cfg: RunConfig):
 def cmd_gp_check(m, r, t, cfg: RunConfig):
     if not 1 <= t <= m:
         raise UsageError(f"t={t} outside 1..{m}")
-    _require(cfg, field=None)
     rep = gruson_peskine_check(m, t, 2 * m - 1, r, cfg.field, cfg.budget, cfg.cache)
     verdict = "pass" if rep.equal else "fail"
     return verdict, rep.as_dict()
@@ -242,7 +215,7 @@ def _expected_linear_rank(m, r, field):
 
 
 def cmd_linear_rank(m, r, cfg: RunConfig):
-    data, ideal = _gradient_ideal(m, r, cfg.field)
+    ideal = gradient.gradient(m, r, cfg.field).ideal()
     rep = groebner.linear_syzygies(list(ideal.generators), cfg.rng())
     expected, kind = _expected_linear_rank(m, r, cfg.field)
     witness = {"linear_rank": rep.linear_rank, "space_dim": rep.space_dim,
@@ -258,7 +231,7 @@ def cmd_linear_rank(m, r, cfg: RunConfig):
 
 def cmd_reduction_check(m, r, cfg: RunConfig, nmax: int = 3):
     h = hankel_square(m, r, cfg.field)
-    data, J = _gradient_ideal(m, r, cfg.field)
+    J = gradient.gradient(m, r, cfg.field).ideal()
     I = Ideal(cfg.field, h.nvars, [mn.value for mn in h.minors(m - 1)])
     rep = groebner.reduction_check(J, I, nmax, cfg.budget, cfg.cache)
     witness = rep.as_dict()
@@ -276,7 +249,6 @@ def cmd_reduction_check(m, r, cfg: RunConfig, nmax: int = 3):
 
 
 def cmd_minimal_primes(m, r, cfg: RunConfig):
-    _require(cfg)
     rep = gradient.minimal_primes_checks(m, r, cfg.budget, cfg.cache)
     witness = {"in_q": rep.in_q, "in_p": rep.in_p, "codim_q": rep.codim_q,
                "codim_p": rep.codim_p, "codims_ok": rep.codims_ok,
@@ -288,50 +260,66 @@ def cmd_minimal_primes(m, r, cfg: RunConfig):
 
 
 def cmd_regular_seq(m, cfg: RunConfig, upto: Optional[int] = None):
-    _require(cfg)
     rep = gradient.regular_sequence_experiment(m, upto, cfg.budget, cfg.cache)
     witness = {"sequence": rep.sequence, "regular": rep.regular,
                "first_failure": rep.first_failure}
     return rep.verdict, witness
 
 
+@dataclass(frozen=True)
+class Command:
+    """A subcommand: its ``cmd_*`` function (called with the params as
+    keywords), the grid parameters it reads (from m, r and t, where t is
+    required), its extra flags, and whether it honours any --field (else QQ
+    only) and any --order (else degrevlex only)."""
+    run: Callable
+    grid: tuple = ("m", "r")
+    flags: tuple = ()
+    any_field: bool = True
+    any_order: bool = False
+
+
+COMMANDS = {
+    "det": Command(cmd_det),
+    "gradient": Command(cmd_gradient),
+    "hessian-check": Command(cmd_hessian_check),
+    "appendix-check": Command(cmd_appendix_check, any_field=False),
+    "theta-check": Command(cmd_theta_check),
+    "codim-minors": Command(cmd_codim_minors, ("m", "r", "t"), any_order=True),
+    "codim-gradient": Command(cmd_codim_gradient, any_field=False),
+    "gp-check": Command(cmd_gp_check, ("m", "r", "t")),
+    "poset": Command(cmd_poset, ("m",), any_field=False),
+    "pluecker": Command(cmd_pluecker, ("m",)),
+    "level-decomp": Command(cmd_level_decomp, ("m",)),
+    "fiber-kernel": Command(cmd_fiber_kernel, flags=("stretch",)),
+    "linear-rank": Command(cmd_linear_rank),
+    "reduction-check": Command(cmd_reduction_check, flags=("nmax",)),
+    "minimal-primes": Command(cmd_minimal_primes, any_field=False),
+    "regular-seq": Command(cmd_regular_seq, ("m",), ("upto",), any_field=False),
+}
+
+# the argparse spelling of every grid parameter and extra flag
+_ARGUMENTS = {
+    "m": {"type": int, "required": True},
+    "r": {"type": int, "default": 0},
+    "t": {"type": int, "required": True},
+    "stretch": {"action": "store_true", "help": "allow the m=4 case"},
+    "nmax": {"type": int, "default": 3},
+    "upto": {"type": int},
+}
+
+
 def run_command(name: str, params: dict, cfg: RunConfig) -> tuple:
-    m = params.get("m")
-    r = params.get("r", 0)
-    t = params.get("t")
-    if name == "det":
-        return cmd_det(m, r, cfg)
-    if name == "gradient":
-        return cmd_gradient(m, r, cfg)
-    if name == "hessian-check":
-        return cmd_hessian_check(m, r, cfg)
-    if name == "appendix-check":
-        return cmd_appendix_check(m, r, cfg)
-    if name == "theta-check":
-        return cmd_theta_check(m, r, cfg)
-    if name == "codim-minors":
-        return cmd_codim_minors(m, r, t, cfg)
-    if name == "codim-gradient":
-        return cmd_codim_gradient(m, r, cfg)
-    if name == "gp-check":
-        return cmd_gp_check(m, r, t, cfg)
-    if name == "poset":
-        return cmd_poset(m, cfg)
-    if name == "pluecker":
-        return cmd_pluecker(m, cfg)
-    if name == "level-decomp":
-        return cmd_level_decomp(m, cfg)
-    if name == "fiber-kernel":
-        return cmd_fiber_kernel(m, r, cfg, params.get("stretch", False))
-    if name == "linear-rank":
-        return cmd_linear_rank(m, r, cfg)
-    if name == "reduction-check":
-        return cmd_reduction_check(m, r, cfg, params.get("nmax", 3))
-    if name == "minimal-primes":
-        return cmd_minimal_primes(m, r, cfg)
-    if name == "regular-seq":
-        return cmd_regular_seq(m, cfg, params.get("upto"))
-    raise UsageError(f"unknown command {name!r}")
+    """Run one command, rejecting a --field or --order it would not honour,
+    so a report never records one it did not use."""
+    command = COMMANDS.get(name)
+    if command is None:
+        raise UsageError(f"unknown command {name!r}")
+    if not command.any_field and cfg.field != QQ:
+        raise UsageError(f"{name} computes over QQ only")
+    if not command.any_order and cfg.order != DEGREVLEX:
+        raise UsageError(f"{name} computes in degrevlex only")
+    return command.run(cfg=cfg, **params)
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +357,7 @@ def execute(command: str, params: dict, cfg: RunConfig) -> dict:
         verdict, witness = "budget-exceeded", {"reason": str(exc)}
     elapsed = int((time.monotonic() - t0) * 1000)
     public_params = dict(params)
-    public_params["field"] = _field_descriptor(cfg.field)
+    public_params["field"] = cfg.field.descriptor()
     public_params["order"] = cfg.order.descriptor()
     result = canonical_result(command, public_params, cfg.seed, verdict, witness)
     report = {
@@ -410,33 +398,17 @@ def _parse_range(text: str, m: Optional[int] = None) -> list:
     return [value(tok) for tok in text.split(",")]
 
 
-_SWEEP_PARAMS = {
-    "det": ("m", "r"), "gradient": ("m", "r"), "hessian-check": ("m", "r"),
-    "appendix-check": ("m", "r"), "theta-check": ("m", "r"),
-    "codim-minors": ("m", "r", "t"), "codim-gradient": ("m", "r"),
-    "gp-check": ("m", "r", "t"), "poset": ("m",), "pluecker": ("m",),
-    "level-decomp": ("m",), "fiber-kernel": ("m", "r"),
-    "linear-rank": ("m", "r"), "reduction-check": ("m", "r"),
-    "minimal-primes": ("m", "r"), "regular-seq": ("m",),
-}
-
-
 def sweep_cells(command: str, m_spec: str, r_spec: str, t_spec: str) -> list:
-    needed = _SWEEP_PARAMS[command]
+    grid = COMMANDS[command].grid
     cells = []
     for m in _parse_range(m_spec):
-        r_values = _parse_range(r_spec, m) if "r" in needed else [None]
-        for r in r_values:
-            if r is not None and not 0 <= r:
-                continue
-            t_values = _parse_range(t_spec, m) if "t" in needed else [None]
-            for t in t_values:
-                params = {"m": m}
-                if r is not None:
-                    params["r"] = r
-                if t is not None:
-                    params["t"] = t
-                cells.append(params)
+        values = {"m": [m]}
+        if "r" in grid:
+            values["r"] = [r for r in _parse_range(r_spec, m) if r >= 0]
+        if "t" in grid:
+            values["t"] = _parse_range(t_spec, m)
+        cells += [dict(zip(values, cell))
+                  for cell in itertools.product(*values.values())]
     return cells
 
 
@@ -493,12 +465,20 @@ def run_sweep(command: str, m_spec: str, r_spec: str, t_spec: str,
 def _build_config(field_desc: str, order_desc: str, seed: int,
                   budget_pairs: int, cache_dir: Optional[str],
                   out_dir: Optional[str]) -> RunConfig:
-    field = field_from_descriptor(field_desc) if field_desc not in ("q",) else QQ
-    order = LEX if order_desc == "lex" else DEGREVLEX
-    budget = GBBudget(max_pairs=budget_pairs)
     cache = GroebnerCache(Path(cache_dir), ENGINE_VERSION) if cache_dir else None
-    return RunConfig(field, order, seed, budget, cache,
+    return RunConfig(field_from_descriptor(field_desc),
+                     order_from_descriptor(order_desc), seed,
+                     GBBudget(max_pairs=budget_pairs), cache,
                      Path(out_dir) if out_dir else None)
+
+
+def _engine_flags(p: argparse.ArgumentParser) -> None:
+    """The field, order, seed, budget and cache flags of a run."""
+    p.add_argument("--field", default="q", help="q or f<p>, e.g. f3")
+    p.add_argument("--order", default="degrevlex", choices=["degrevlex", "lex"])
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--budget-pairs", type=int, default=GBBudget().max_pairs)
+    p.add_argument("--cache", default=os.environ.get("HANKEL_CACHE_DIR"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -507,42 +487,22 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact experiments on Hankel determinantal degenerations")
     sub = parser.add_subparsers(dest="command")
 
-    def common(p, need_m=True):
-        if need_m:
-            p.add_argument("--m", type=int, required=True)
-        p.add_argument("--r", type=int, default=0)
-        p.add_argument("--t", type=int)
-        p.add_argument("--field", default="q", help="q or f<p>, e.g. f3")
-        p.add_argument("--order", default="degrevlex", choices=["degrevlex", "lex"])
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--budget-pairs", type=int, default=GBBudget().max_pairs)
-        p.add_argument("--out", default=os.environ.get("HANKEL_OUT_DIR", "results"))
-        p.add_argument("--cache", default=os.environ.get("HANKEL_CACHE_DIR"))
-        p.add_argument("--format", default="json", choices=["json", "csv"])
-
-    for name in COMMANDS:
+    for name, command in COMMANDS.items():
         p = sub.add_parser(name)
-        common(p)
-        if name == "fiber-kernel":
-            p.add_argument("--stretch", action="store_true",
-                           help="allow the m=4 case")
-        if name == "reduction-check":
-            p.add_argument("--nmax", type=int, default=3)
-        if name == "regular-seq":
-            p.add_argument("--upto", type=int)
+        for arg in command.grid + command.flags:
+            p.add_argument(f"--{arg}", **_ARGUMENTS[arg])
+        _engine_flags(p)
+        p.add_argument("--out", default=os.environ.get("HANKEL_OUT_DIR", "results"))
+        p.add_argument("--format", default="json", choices=["json", "csv"])
 
     p = sub.add_parser("sweep")
     p.add_argument("target", choices=COMMANDS)
     p.add_argument("--m", required=True, help="range, e.g. 3..6")
     p.add_argument("--r", default="0..m-2", help="range, may use m, e.g. 0..m-2")
     p.add_argument("--t", default="1..m", help="range for t-commands")
-    p.add_argument("--field", default="q")
-    p.add_argument("--order", default="degrevlex", choices=["degrevlex", "lex"])
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget-pairs", type=int, default=GBBudget().max_pairs)
+    _engine_flags(p)
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     p.add_argument("--out", default=None, help="CSV path (default stdout)")
-    p.add_argument("--cache", default=os.environ.get("HANKEL_CACHE_DIR"))
 
     p = sub.add_parser("cache")
     p.add_argument("action", choices=["stats", "clear", "verify"])
@@ -577,39 +537,27 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "sweep":
-        cfg = _build_config(args.field, args.order, args.seed,
-                            args.budget_pairs, args.cache, None)
         try:
+            cfg = _build_config(args.field, args.order, args.seed,
+                                args.budget_pairs, args.cache, None)
             run_sweep(args.target, args.m, args.r, args.t, cfg, args.jobs,
                       Path(args.out) if args.out else None)
-        except UsageError as exc:
+        except (UsageError, PolyError) as exc:
             print(f"usage error: {exc}", file=sys.stderr)
             return 3
         return 0
 
-    cfg = _build_config(args.field, args.order, args.seed, args.budget_pairs,
-                        args.cache, args.out)
-    params = {"m": args.m}
-    if args.command not in ("poset", "pluecker", "level-decomp", "regular-seq"):
-        params["r"] = args.r
-    if args.command in ("codim-minors", "gp-check"):
-        if args.t is None:
-            print("usage error: this command needs --t", file=sys.stderr)
-            return 3
-        params["t"] = args.t
-    if args.command == "fiber-kernel":
-        params["stretch"] = bool(getattr(args, "stretch", False))
-    if args.command == "reduction-check":
-        params["nmax"] = args.nmax
-    if args.command == "regular-seq" and args.upto is not None:
-        params["upto"] = args.upto
-
+    command = COMMANDS[args.command]
+    params = {name: getattr(args, name) for name in command.grid + command.flags
+              if getattr(args, name) is not None}
     try:
+        cfg = _build_config(args.field, args.order, args.seed, args.budget_pairs,
+                            args.cache, args.out)
         report = execute(args.command, params, cfg)
     except (UsageError, PolyError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 3
-    if getattr(args, "format", "json") == "csv":
+    if args.format == "csv":
         fields = ["check", "m", "r", "t", "verdict", "timing_ms"]
         writer = csv.DictWriter(sys.stdout, fieldnames=fields)
         writer.writeheader()

@@ -64,15 +64,6 @@ class GBBudget:
 
 DEFAULT_BUDGET = GBBudget()
 
-_default_cache = None
-
-
-def set_default_cache(cache) -> None:
-    """Install a process-wide basis cache (see hankelkit.cache)."""
-    global _default_cache
-    _default_cache = cache
-
-
 class Ideal:
     """An ordered generator list over one ring.
 
@@ -305,7 +296,6 @@ def buchberger(ideal: Ideal, order: MonomialOrder = DEGREVLEX,
     and cacheable.
     """
     budget = budget or DEFAULT_BUDGET
-    cache = cache if cache is not None else _default_cache
     if cache is not None:
         hit = cache.get(ideal, order)
         if hit is not None:

@@ -164,7 +164,7 @@ def _column_echelon(rows, field) -> SpanEchelon:
     coordinates and the lead at the smallest column."""
     span = SpanEchelon(field, keyfn=neg)
     for row in rows:
-        span.insert(dict(enumerate(row)))
+        span.insert({i: c for i, c in enumerate(row) if c})
     return span
 
 
@@ -224,7 +224,7 @@ def det(rows: Sequence[Sequence], field=QQ):
     value = field.one()
     leads = []
     for terms in rows:
-        row, mul, div = span._reduce(dict(enumerate(terms)))
+        row, mul, div = span._reduce({i: c for i, c in enumerate(terms) if c})
         if not row:
             return field.zero()
         lead = span._lead(row)

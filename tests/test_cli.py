@@ -3,9 +3,14 @@
 import contextlib
 import io
 import json
+import re
+import shlex
 from pathlib import Path
 
+from hankelkit import cli
 from hankelkit.cli import main, sweep_cells
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(args):
@@ -39,15 +44,24 @@ def test_exit_code_usage_error():
 
 
 def test_unhonoured_field_or_order_is_a_usage_error():
-    # these commands compute over QQ in degrevlex only (gp-check: any field)
-    code, _ = run_cli(["codim-gradient", "--m", "4", "--r", "1", "--field", "f3"])
-    assert code == 3
-    code, _ = run_cli(["minimal-primes", "--m", "4", "--r", "1", "--order", "lex"])
-    assert code == 3
-    code, _ = run_cli(["regular-seq", "--m", "3", "--field", "f5"])
-    assert code == 3
-    code, _ = run_cli(["gp-check", "--m", "3", "--t", "2", "--order", "lex"])
-    assert code == 3
+    # only codim-minors honours --order; appendix-check, codim-gradient,
+    # poset, minimal-primes and regular-seq compute over QQ only; poset reads
+    # no --r or --t; zz names no field
+    for args in (["codim-gradient", "--m", "4", "--r", "1", "--field", "f3"],
+                 ["minimal-primes", "--m", "4", "--r", "1", "--order", "lex"],
+                 ["regular-seq", "--m", "3", "--field", "f5"],
+                 ["gp-check", "--m", "3", "--t", "2", "--order", "lex"],
+                 ["appendix-check", "--m", "4", "--r", "1", "--order", "lex"],
+                 ["det", "--m", "3", "--r", "1", "--order", "lex"],
+                 ["poset", "--m", "4", "--field", "f3", "--r", "7", "--t", "9"],
+                 ["poset", "--m", "4", "--field", "f3"],
+                 ["det", "--m", "3", "--field", "zz"]):
+        code, out = run_cli(args)
+        assert code == 3 and not out, args
+    for args in (["codim-minors", "--m", "3", "--t", "2", "--order", "lex"],
+                 ["linear-rank", "--m", "4", "--r", "1", "--field", "f3"]):
+        code, _ = run_cli(args)
+        assert code == 0, args
 
 
 def test_gradient_command_checks_once(monkeypatch):
@@ -178,32 +192,44 @@ def test_sweep_empty_range(tmp_path):
 
 
 def test_exit_code_contract_for_every_command():
-    # scripted matrix: one cheap parameter cell per command
+    # scripted matrix: one cheap parameter cell per command, with the params
+    # its report records besides field and order
     matrix = [
-        ["det", "--m", "3", "--r", "1"],
-        ["gradient", "--m", "3", "--r", "1"],
-        ["hessian-check", "--m", "3", "--r", "1"],
-        ["appendix-check", "--m", "4", "--r", "1"],
-        ["theta-check", "--m", "3", "--r", "1"],
-        ["codim-minors", "--m", "3", "--t", "2", "--r", "1"],
-        ["codim-gradient", "--m", "3", "--r", "1"],
-        ["gp-check", "--m", "3", "--t", "2", "--r", "1"],
-        ["poset", "--m", "4"],
-        ["pluecker", "--m", "3"],
-        ["level-decomp", "--m", "3"],
-        ["fiber-kernel", "--m", "3", "--r", "1"],
-        ["linear-rank", "--m", "4", "--r", "2"],
-        ["reduction-check", "--m", "3", "--r", "0"],
-        ["minimal-primes", "--m", "4", "--r", "1"],
-        ["regular-seq", "--m", "3"],
+        (["det", "--m", "3", "--r", "1"], {"m": 3, "r": 1}),
+        (["gradient", "--m", "3", "--r", "1"], {"m": 3, "r": 1}),
+        (["hessian-check", "--m", "3", "--r", "1"], {"m": 3, "r": 1}),
+        (["appendix-check", "--m", "4", "--r", "1"], {"m": 4, "r": 1}),
+        (["theta-check", "--m", "3", "--r", "1"], {"m": 3, "r": 1}),
+        (["codim-minors", "--m", "3", "--t", "2", "--r", "1"], {"m": 3, "r": 1, "t": 2}),
+        (["codim-gradient", "--m", "3", "--r", "1"], {"m": 3, "r": 1}),
+        (["gp-check", "--m", "3", "--t", "2", "--r", "1"], {"m": 3, "r": 1, "t": 2}),
+        (["poset", "--m", "4"], {"m": 4}),
+        (["pluecker", "--m", "3"], {"m": 3}),
+        (["level-decomp", "--m", "3"], {"m": 3}),
+        (["fiber-kernel", "--m", "3", "--r", "1"], {"m": 3, "r": 1, "stretch": False}),
+        (["linear-rank", "--m", "4", "--r", "2"], {"m": 4, "r": 2}),
+        (["reduction-check", "--m", "3", "--r", "0"], {"m": 3, "r": 0, "nmax": 3}),
+        (["minimal-primes", "--m", "4", "--r", "1"], {"m": 4, "r": 1}),
+        (["regular-seq", "--m", "3"], {"m": 3}),
     ]
+    assert {args[0] for args, _ in matrix} == set(cli.COMMANDS)
     expected_code = {"pass": 0, "consistent": 0, "fail": 1,
                      "counterexample": 1, "budget-exceeded": 2}
-    for args in matrix:
+    for args, params in matrix:
         code, out = run_cli(args)
-        verdict = report_of(out)["result"]["verdict"]
-        assert code == expected_code[verdict], args
+        result = report_of(out)["result"]
+        assert code == expected_code[result["verdict"]], args
         assert code == 0, args  # every cell in this matrix is a passing one
+        assert result["params"] == {"field": "QQ", "order": "degrevlex", **params}, args
+
+
+def test_readme_cli_lines_parse():
+    section = README.read_text().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    lines = re.findall(r"^hankelkit .*$", section, re.MULTILINE)
+    assert len(lines) >= len(cli.COMMANDS)
+    parser = cli.build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line, comments=True)[1:])
 
 
 def test_cache_dir_env_override(tmp_path, monkeypatch):

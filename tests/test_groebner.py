@@ -492,21 +492,6 @@ def test_cache_misses_an_entry_of_another_engine(tmp_path, monkeypatch):
     assert cache.hits == 1
 
 
-def test_default_cache_hookup(tmp_path):
-    from hankelkit import ENGINE_VERSION
-    from hankelkit.cache import GroebnerCache
-
-    cache = GroebnerCache(tmp_path, ENGINE_VERSION)
-    gb.set_default_cache(cache)
-    try:
-        _, _, J = gradient_ideal(3, 0)
-        gb.buchberger(J)
-        gb.buchberger(J)
-        assert cache.hits == 1
-    finally:
-        gb.set_default_cache(None)
-
-
 # -- prime fields -------------------------------------------------------------------
 
 def test_groebner_over_gf3():
