@@ -378,19 +378,22 @@ def _parse_range(text: str, m: Optional[int] = None) -> list:
 
     def value(tok: str) -> int:
         tok = tok.strip()
+        if not tok.startswith("m"):
+            return integer(tok)
+        if m is None:
+            raise UsageError("m-dependent bound in the m range")
         if tok == "m":
-            if m is None:
-                raise UsageError("m-dependent bound in the m range")
             return m
-        if tok.startswith("m-"):
-            if m is None:
-                raise UsageError("m-dependent bound in the m range")
-            return m - int(tok[2:])
-        if tok.startswith("m+"):
-            if m is None:
-                raise UsageError("m-dependent bound in the m range")
-            return m + int(tok[2:])
-        return int(tok)
+        if tok[1] in "+-":
+            offset = integer(tok[2:])
+            return m + offset if tok[1] == "+" else m - offset
+        raise UsageError(f"malformed range bound {tok!r}")
+
+    def integer(tok: str) -> int:
+        try:
+            return int(tok)
+        except ValueError:
+            raise UsageError(f"malformed range bound {text!r}") from None
 
     if ".." in text:
         lo, hi = text.split("..", 1)

@@ -7,7 +7,7 @@ anti-diagonals, over a ring with n = 2m-r-1 variables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from math import factorial
 from typing import Optional
 
@@ -15,7 +15,7 @@ from . import groebner
 from .groebner import BudgetExceededError, GBBudget, Ideal
 from .linalg import det, gauss_rank, nullspace
 from .polyring import DEGREVLEX, IndexRangeError, Polynomial, QQ, RingMap
-from .symmatrix import SymMatrix, block_partition, hankel_square
+from .symmatrix import SymMatrix, _blocks, hankel_square
 
 
 def _check_params(m: int, r: int):
@@ -27,12 +27,12 @@ def _check_params(m: int, r: int):
 
 @dataclass
 class GradientData:
-    """f, its partials f_1..f_n, and the full signed-cofactor table.
+    """f and its partials f_1..f_n.
 
-    delta(i, j) is the signed cofactor of the (j, i) entry of the matrix,
-    built lazily and memoized.  Constructed through :func:`gradient`, which
-    checks nothing: :func:`cofactor_decomposition_check` and
-    :func:`euler_identity_check` verify the data on request.
+    delta(i, j) is the signed cofactor of the (j, i) entry of the matrix.
+    Constructed through :func:`gradient`, which checks nothing:
+    :func:`cofactor_decomposition_check` and :func:`euler_identity_check`
+    verify the data on request.
     """
 
     m: int
@@ -40,20 +40,9 @@ class GradientData:
     matrix: SymMatrix
     f: Polynomial
     partials: tuple
-    _cofactors: dict = dc_field(default_factory=dict, repr=False)
 
     def delta(self, i: int, j: int) -> Polynomial:
-        key = (i, j)
-        if key not in self._cofactors:
-            self._cofactors[key] = self.matrix.cofactor(j, i)
-        return self._cofactors[key]
-
-    def cofactor_table(self) -> dict:
-        """All delta(i, j), keyed by (i, j)."""
-        for i in range(1, self.m + 1):
-            for j in range(1, self.m + 1):
-                self.delta(i, j)
-        return dict(self._cofactors)
+        return self.matrix.delta(i, j)
 
     @property
     def nvars(self) -> int:
@@ -73,17 +62,15 @@ def gradient(m: int, r: int, field=QQ) -> GradientData:
 
 def cofactor_decomposition_check(data: GradientData) -> dict:
     """f_k must equal the sum of the signed cofactors of every slot holding
-    x_k, i.e. the slots (i, j) with i + j = k + 1."""
-    m, h = data.m, data.matrix
-    verdicts = {}
-    for k, fk in enumerate(data.partials, start=1):
-        total = Polynomial.zero(fk.field, fk.nvars)
-        for i in range(1, m + 1):
-            j = k + 1 - i
-            if 1 <= j <= m:
-                total = total + h.cofactor(i, j)
-        verdicts[k] = (total == fk)
-    return {"m": m, "r": data.r, "per_k": verdicts,
+    x_k, i.e. the slots (i, j) with i + j = k + 1; the cofactors are summed
+    as one shared expansion streams them."""
+    zero = Polynomial.zero(data.f.field, data.nvars)
+    sums: dict = {}
+    for i, j, c in data.matrix.cofactors():
+        k = i + j - 1
+        sums[k] = sums.get(k, zero) + c
+    verdicts = {k: sums[k] == fk for k, fk in enumerate(data.partials, start=1)}
+    return {"m": data.m, "r": data.r, "per_k": verdicts,
             "all_equal": all(verdicts.values())}
 
 
@@ -329,7 +316,7 @@ def cofactor_relations_check(m: int, r: int, field=QQ,
     block_ok = True
     gb = groebner.buchberger(data.ideal(), DEGREVLEX, budget, cache)
     for j in range(1, m - 1):
-        part = block_partition(m, r, j, field)
+        part = _blocks(h, adj, r, j)
         top = part.adj_a.mul(part.upper)
         rest = part.adj_b.mul(part.lower)
         for i in range(1, m - j + 1):
@@ -353,7 +340,7 @@ def cofactor_relations_check(m: int, r: int, field=QQ,
                 total = zero
                 for i in range(1, k + 2):
                     x_idx = m - k + 1 + i
-                    total = total + Polynomial.variable(field, n, x_idx) * data.delta(i, j)
+                    total = total + Polynomial.variable(field, n, x_idx) * adj.at(i, j)
                 expected = data.f if j == m - k + 2 else zero
                 displayed[(k, j)] = (total == expected)
     all_ok = adj_ok and block_ok and (displayed is None or all(displayed.values()))

@@ -86,8 +86,7 @@ def build_poset(m: int) -> MinorPoset:
 def hankel_bracket_minors(m: int, r: int = 0, field=QQ) -> dict:
     """Bracket -> maximal minor of the (m-1) x (m+1) Hankel degeneration."""
     h = hankel(HankelSpec(m - 1, m + 1, r), field)
-    rows = tuple(range(1, m))
-    return {b: h.submatrix(rows, b).determinant() for b in brackets(m)}
+    return {mn.cols: mn.value for mn in h.minors(m - 1)}
 
 
 def generic_bracket_minors(m: int, field=QQ) -> dict:
@@ -97,8 +96,7 @@ def generic_bracket_minors(m: int, field=QQ) -> dict:
     entries = [Polynomial.variable(field, n, (u - 1) * cols + v)
                for u in range(1, rows + 1) for v in range(1, cols + 1)]
     g = SymMatrix(rows, cols, entries)
-    rr = tuple(range(1, rows + 1))
-    return {b: g.submatrix(rr, b).determinant() for b in brackets(m)}
+    return {mn.cols: mn.value for mn in g.minors(rows)}
 
 
 class LevelDecompositionError(PolyError):

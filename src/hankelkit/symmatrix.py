@@ -1,5 +1,11 @@
-"""Symbolic matrices with Hankel/degeneration builders, exact determinants,
-cofactors, minors, and the block partitions used by the gradient analysis.
+"""Symbolic matrices with Hankel/degeneration builders, exact minors, and the
+block partitions used by the gradient analysis.
+
+Every minor comes from one shared expansion (``SymMatrix._expand_minors``):
+a single memoized pass on the packed kernel of ``polyring`` that yields all
+t x t minors of a matrix.  The determinant is its t = n case, ``minors(t)``
+lists one pass, and ``cofactors``/``adjugate`` read all n^2 cofactors from
+one pass over the (n-1) x (n-1) minors.
 
 Matrices are immutable; all indices in the public API are 1-based to match
 the usual matrix conventions.
@@ -10,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import combinations, permutations
-from math import lcm
+from math import lcm, prod
 from typing import Callable, Optional, Sequence
 
 from .linalg import SpanEchelon
@@ -145,64 +151,100 @@ class SymMatrix:
 
     # -- determinants -----------------------------------------------------------
 
-    def determinant(self, max_terms: Optional[int] = None) -> Polynomial:
-        """Exact determinant by memoized expansion over column subsets.
+    def _expand_minors(self, t: int, max_terms: Optional[int] = None):
+        """Every t x t minor as a :class:`Minor`, in lexicographic order of
+        (rows, cols), from one memoized expansion on the packed kernel.
 
-        Row k is expanded against every k-subset of columns, giving 2^n
-        subproblems instead of n! cofactor paths; entries that are zero are
-        skipped, which matters for the degenerated matrices.  The expansion
-        runs on the packed kernel of ``polyring`` (degrevlex keys, products by
-        ``+``) with integer coefficients: the entries are converted once, over
-        QQ each row scaled by the lcm of its denominators, and the result is
-        converted back once, divided by the product of those lcms.  Over GF(p)
-        each subproblem is reduced to residues.  A degree bound (the sum of
-        the rows' largest entry degrees) above ``MAX_DEGREE`` raises
-        BudgetExceededError before the expansion starts.  With ``max_terms``,
-        the term products of the expansion (terms of the entry times terms of
-        the minor, summed) are capped: BudgetExceededError.
+        The entries are converted once to kernel terms (degrevlex keys,
+        products by ``+``) with integer coefficients: over QQ each row scaled
+        by the lcm of its denominators, each minor divided at the end by the
+        product of its rows' lcms; over GF(p) every minor is kept as residues.
+        Each row k-subset R gets a table of its minors on every column
+        k-subset, each expanded along the last row of R against the table of
+        R without that row; zero entries are skipped.  Only row subsets that
+        extend to a t-subset are built, each table once, and a table is kept
+        only while a row subset built on it is pending: the t x t minors
+        themselves are converted and yielded one at a time, so the caller
+        holds only what it keeps.  A degree bound (the sum of the t largest
+        row degrees) above ``MAX_DEGREE`` raises BudgetExceededError before
+        the expansion starts.  With ``max_terms``, the term products of the
+        expansion (terms of the entry times terms of the minor, summed) are
+        capped: BudgetExceededError.
         """
-        if not self.is_square():
-            raise MatrixShapeError("determinant of a non-square matrix")
-        n = self.rows
         fld = self.field
         p = fld.characteristic
         pk = packing(DEGREVLEX, self.nvars)
         rows = []       # per row: (terms, negated terms) of each entry
-        scale = 1
-        degree = 0
-        for i in range(1, n + 1):
+        scales = []     # per row: the factor its kernel terms carry
+        degrees = []
+        for i in range(1, self.rows + 1):
             entries = self.row(i)
             if p:
+                den = 1
                 kernel = [_to_kernel(x, pk)[0] for x in entries]
             else:
                 den = lcm(*(c.denominator for x in entries for c in x.terms.values()))
-                scale *= den
                 kernel = [{pk.encode(e): c.numerator * (den // c.denominator)
                            for e, c in x.terms.items()} for x in entries]
-            degree += max((pk.degree(max(t)) for t in kernel if t), default=0)
-            rows.append([(t, {k: -c for k, c in t.items()}) for t in kernel])
-        if degree > MAX_DEGREE:
+            scales.append(den)
+            degrees.append(max((pk.degree(max(e)) for e in kernel if e), default=0))
+            rows.append([(e, {k: -c for k, c in e.items()}) for e in kernel])
+        if sum(sorted(degrees)[-t:]) > MAX_DEGREE:
             raise _overflow()
-        memo: dict = {(): {0: 1}}       # the previous row's minors; key 0 is 1
         products = 0
-        for size, row in enumerate(rows, start=1):
-            level = {}
-            for cols in combinations(range(n), size):
-                acc: dict = {}
-                for pos, j in enumerate(cols):
-                    plus, minus = row[j]
-                    if not plus:
-                        continue
-                    minor = memo[cols[:pos] + cols[pos + 1:]]
-                    if max_terms is not None:
-                        products += len(plus) * len(minor)
-                        if products > max_terms:
-                            raise BudgetExceededError("determinant term products", max_terms)
-                    # expansion along row `size`: sign (-1)^(size + pos + 1), pos 0-based
-                    _mul_add(acc, plus if (size + pos) % 2 == 1 else minus, minor)
-                level[cols] = _settle(acc, p)
-            memo = level
-        return _from_kernel(memo[tuple(range(n))], pk, fld, self.nvars, scale)
+
+        def expand(rset: tuple, cols: tuple, prev: dict) -> dict:
+            """The minor on rows ``rset`` and columns ``cols`` along its last row."""
+            nonlocal products
+            row = rows[rset[-1]]
+            size = len(cols)
+            acc: dict = {}
+            for pos, j in enumerate(cols):
+                plus, minus = row[j]
+                if not plus:
+                    continue
+                minor = prev[cols[:pos] + cols[pos + 1:]]
+                if max_terms is not None:
+                    products += len(plus) * len(minor)
+                    if products > max_terms:
+                        raise BudgetExceededError("determinant term products", max_terms)
+                # sign (-1)^(size + pos + 1), pos 0-based
+                _mul_add(acc, plus if (size + pos) % 2 == 1 else minus, minor)
+            return _settle(acc, p)
+
+        # Depth first in lexicographic order: each pending row set carries the
+        # minors on its prefix, which live only while a row set built on them
+        # is pending.  A row set of size k leaves t - k rows below its last one.
+        empty: dict = {(): {0: 1}}      # the 0 x 0 minor is 1 (key 0: the monomial 1)
+        pending = [((r,), empty) for r in reversed(range(self.rows - t + 1))]
+        while pending:
+            rset, prev = pending.pop()
+            size = len(rset)
+            if size == t:
+                scale = prod(scales[i] for i in rset)
+                rkey = tuple(i + 1 for i in rset)
+                for cols in combinations(range(self.cols), t):
+                    yield Minor(rkey, tuple(j + 1 for j in cols),
+                                _from_kernel(expand(rset, cols, prev), pk, fld,
+                                             self.nvars, scale))
+                continue
+            table = {cols: expand(rset, cols, prev)
+                     for cols in combinations(range(self.cols), size)}
+            pending.extend((rset + (r,), table)
+                           for r in reversed(range(rset[-1] + 1, self.rows - t + size + 1)))
+
+    def determinant(self, max_terms: Optional[int] = None) -> Polynomial:
+        """Exact determinant: the one n x n minor of the shared expansion.
+
+        Its row subsets are the leading ones, so row k is expanded against
+        every k-subset of columns, giving 2^n subproblems instead of n!
+        cofactor paths.  ``max_terms`` caps the term products of the
+        expansion (BudgetExceededError past it).
+        """
+        if not self.is_square():
+            raise MatrixShapeError("determinant of a non-square matrix")
+        (minor,) = self._expand_minors(self.rows, max_terms)
+        return minor.value
 
     def determinant_perm_oracle(self) -> Polynomial:
         """Permutation-sum determinant; independent cross-check for n <= 6."""
@@ -245,26 +287,42 @@ class SymMatrix:
         return d if (i + j) % 2 == 0 else -d
 
     def adjugate(self) -> "SymMatrix":
-        """The matrix satisfying adjugate(M) * M = det(M) * I."""
+        """The matrix satisfying adjugate(M) * M = det(M) * I: entry (j, i)
+        is cofactor(i, j), all n^2 read from :meth:`cofactors`."""
         if not self.is_square():
             raise MatrixShapeError("adjugate of a non-square matrix")
         n = self.rows
-        return SymMatrix(n, n, [self.cofactor(j, i)
-                                for i in range(1, n + 1) for j in range(1, n + 1)])
+        entries = [None] * (n * n)
+        for i, j, value in self.cofactors():
+            entries[(j - 1) * n + i - 1] = value
+        return SymMatrix(n, n, entries)
+
+    def cofactors(self):
+        """(i, j, cofactor(i, j)) for every slot of a square matrix, streamed
+        from one shared expansion of the (n-1) x (n-1) minors, so a caller
+        that sums them never holds all n^2 at once."""
+        if not self.is_square():
+            raise MatrixShapeError("cofactors of a non-square matrix")
+        n = self.rows
+        if n == 1:
+            yield 1, 1, Polynomial.one(self.field, self.nvars)
+            return
+        total = n * (n + 1) // 2
+        for mn in self._expand_minors(n - 1):
+            # the one row and the one column the minor leaves out
+            i, j = total - sum(mn.rows), total - sum(mn.cols)
+            yield i, j, (mn.value if (i + j) % 2 == 0 else -mn.value)
 
     def delta(self, i: int, j: int) -> Polynomial:
         """Signed cofactor of the (j, i) entry; equals adjugate()[i, j]."""
         return self.cofactor(j, i)
 
     def minors(self, t: int) -> list:
-        """All t x t minors with (row-set, col-set) metadata, lexicographic order."""
+        """All t x t minors with (row-set, col-set) metadata, lexicographic
+        order, read from one shared expansion."""
         if not 1 <= t <= min(self.rows, self.cols):
             raise IndexRangeError(f"minor size {t} out of range")
-        out = []
-        for rows in combinations(range(1, self.rows + 1), t):
-            for cols in combinations(range(1, self.cols + 1), t):
-                out.append(Minor(rows, cols, self.submatrix(rows, cols).determinant()))
-        return out
+        return list(self._expand_minors(t))
 
     # -- serialization ------------------------------------------------------------
 
@@ -397,7 +455,12 @@ def block_partition(m: int, r: int, j: int, field=QQ) -> BlockPartition:
     if not 1 <= j <= m - 2:
         raise IndexRangeError(f"j={j} outside 1..{m - 2}")
     h = hankel_square(m, r, field)
-    adj = h.adjugate()
+    return _blocks(h, h.adjugate(), r, j)
+
+
+def _blocks(h: SymMatrix, adj: SymMatrix, r: int, j: int) -> BlockPartition:
+    """The partition of ``block_partition`` from the degeneration and its adjugate."""
+    m = h.rows
     top = list(range(1, m - j + 1))
     bottom = list(range(m - j + 1, m + 1))
     full = list(range(1, m + 1))

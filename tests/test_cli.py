@@ -171,6 +171,14 @@ def test_sweep_cells_dependent_range():
     assert len(cells) == 2 + 3 + 4
 
 
+def test_malformed_sweep_bound_is_a_usage_error(tmp_path):
+    for spec in (["--m", "3..x"], ["--m", "x"], ["--m", "3", "--r", "m-x"],
+                 ["--m", "3", "--r", "0..mx"], ["--m", "m..4"]):
+        code, _ = run_cli(["sweep", "det", *spec, "--jobs", "1",
+                           "--out", str(tmp_path / "rows.csv")])
+        assert code == 3, spec
+
+
 def test_sweep_csv_output(tmp_path):
     out_csv = tmp_path / "rows.csv"
     code, _ = run_cli(["sweep", "codim-gradient", "--m", "3..3", "--r", "0..m-2",

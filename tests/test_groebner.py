@@ -168,6 +168,10 @@ def test_degree_beyond_the_packed_field_is_typed():
     big = SymMatrix(2, 2, [x1 ** 20000, x2, x2, x1 ** 20000])
     with pytest.raises(BudgetExceededError, match="monomial block degree"):   # a determinant
         big.determinant()
+    # a 2 x 2 minor of a 2 x 3 matrix, no entry above the bound
+    wide = SymMatrix(2, 3, [x1 ** 20000, x2, x2, x2, x1 ** 20000, x2])
+    with pytest.raises(BudgetExceededError, match="monomial block degree"):
+        wide.minors(2)
 
 
 def test_lex_order_basis_and_dimension_agree():

@@ -3,11 +3,13 @@ minors, block partitions, and the maximal-minor transfer."""
 
 import json
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hankelkit.linalg import span_dimension
+from hankelkit.minorposet import brackets, generic_bracket_minors, hankel_bracket_minors
 from hankelkit.polyring import BudgetExceededError, Polynomial, PrimeField, QQ
 from hankelkit.symmatrix import (
     HankelSpec,
@@ -61,19 +63,20 @@ NVARS = 3
 
 
 @st.composite
-def square_matrices(draw, n):
-    """n x n matrices over QQ, GF(3) or GF(32003): a Hankel degeneration, or
-    entries that are zero, constants or up to three terms, with a denominator
-    drawn per row (prime to both moduli)."""
+def matrices(draw, rows, cols):
+    """rows x cols matrices over QQ, GF(3) or GF(32003): a Hankel
+    degeneration, or entries that are zero, constants or up to three terms,
+    with a denominator drawn per row (prime to both moduli)."""
     field = draw(st.sampled_from([QQ, PrimeField(3), PrimeField(32003)]))
     if draw(st.booleans()):
-        return hankel_square(n, draw(st.integers(0, max(n - 2, 0))), field)
+        zeros = draw(st.integers(0, max(min(rows, cols) - 2, 0)))
+        return hankel(HankelSpec(rows, cols, zeros), field)
     exps = st.tuples(*[st.integers(min_value=0, max_value=2)] * NVARS)
     entries = []
-    for _ in range(n):
+    for _ in range(rows):
         den = draw(st.sampled_from([1, 2, 4, 5, 7, 10]))
         coeff = st.integers(min_value=-6, max_value=6).map(lambda c, d=den: Fraction(c, d))
-        for _ in range(n):
+        for _ in range(cols):
             kind = draw(st.sampled_from(["zero", "constant", "terms"]))
             if kind == "zero":
                 terms = {}
@@ -82,15 +85,60 @@ def square_matrices(draw, n):
             else:
                 terms = draw(st.dictionaries(exps, coeff, min_size=1, max_size=3))
             entries.append(Polynomial(field, NVARS, terms))
-    return SymMatrix(n, n, entries)
+    return SymMatrix(rows, cols, entries)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_det_memo_equals_permutation_oracle(n, data):
-    h = data.draw(square_matrices(n))
+    h = data.draw(matrices(n, n))
     assert h.determinant() == h.determinant_perm_oracle()
+
+
+# the shared minor expansion against the permutation oracle, which multiplies
+# entries one product at a time and never reads a minor table
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_every_minor_equals_the_oracle_of_its_submatrix(data):
+    rows, cols = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+    h = data.draw(matrices(rows, cols))
+    t = data.draw(st.integers(1, min(rows, cols)))
+    minors = h.minors(t)
+    assert [(mn.rows, mn.cols) for mn in minors] == [
+        (r, c) for r in combinations(range(1, rows + 1), t)
+        for c in combinations(range(1, cols + 1), t)]
+    for mn in minors:
+        assert mn.value == h.submatrix(mn.rows, mn.cols).determinant_perm_oracle()
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_adjugate_times_matrix_is_determinant_identity(data):
+    n = data.draw(st.integers(1, 5))
+    h = data.draw(matrices(n, n))
+    f = h.determinant_perm_oracle()
+    zero = Polynomial.zero(h.field, h.nvars)
+    adj = h.adjugate()
+    for prod in (adj.mul(h), h.mul(adj)):
+        assert all(prod.at(i, j) == (f if i == j else zero)
+                   for i in range(1, n + 1) for j in range(1, n + 1))
+
+
+@settings(max_examples=20, deadline=None)
+@given(m=st.integers(2, 5), r=st.integers(0, 2),
+       field=st.sampled_from([QQ, PrimeField(3), PrimeField(32003)]))
+def test_bracket_minors_equal_per_bracket_oracles(m, r, field):
+    h = hankel(HankelSpec(m - 1, m + 1, r), field)
+    rows = tuple(range(1, m))
+    expected = {b: h.submatrix(rows, b).determinant_perm_oracle() for b in brackets(m)}
+    got = hankel_bracket_minors(m, r, field)
+    assert list(got) == list(expected) and got == expected
+    n = (m - 1) * (m + 1)
+    generic = SymMatrix(m - 1, m + 1, [Polynomial.variable(field, n, k) for k in range(1, n + 1)])
+    assert generic_bracket_minors(m, field) == {
+        b: generic.submatrix(rows, b).determinant_perm_oracle() for b in brackets(m)}
 
 
 def test_det_budget_counts_every_term_product():
