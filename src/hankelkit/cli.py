@@ -109,8 +109,7 @@ def cmd_appendix_check(m, r, cfg: RunConfig):
                      "resolved_relative_sign": rep.resolved_relative_sign,
                      "computed": rep.computed, "candidates": {
                          "".join(map(str, k)): [str(v) for v in vals]
-                         for k, vals in rep.candidates.items()}
-                     if isinstance(rep.candidates, dict) else rep.candidates}
+                         for k, vals in rep.candidates.items()}}
 
 
 def cmd_theta_check(m, r, cfg: RunConfig):
@@ -162,6 +161,9 @@ def cmd_poset(m, cfg: RunConfig):
 
 
 def cmd_pluecker(m, cfg: RunConfig):
+    if cfg.field.characteristic in (2, 3):
+        raise UsageError("pluecker needs characteristic 0 or >= 5, where 1/2 and lambda = 3 "
+                         "are invertible")
     relations = minorposet.pluecker_relations(m, cfg.field)
     witness = {"relations": [rel.to_string() for rel in relations],
                "count": len(relations)}
@@ -216,7 +218,7 @@ def _expected_linear_rank(m, r, field):
 
 def cmd_linear_rank(m, r, cfg: RunConfig):
     ideal = gradient.gradient(m, r, cfg.field).ideal()
-    rep = groebner.linear_syzygies(list(ideal.generators), cfg.rng())
+    rep = groebner.linear_syzygies(list(ideal.generators))
     expected, kind = _expected_linear_rank(m, r, cfg.field)
     witness = {"linear_rank": rep.linear_rank, "space_dim": rep.space_dim,
                "generator_count": rep.generator_count, "expected": expected,

@@ -74,13 +74,7 @@ def build_poset(m: int) -> MinorPoset:
                 ups.append(cand)
         covers[b] = tuple(sorted(ups))
     levels = {b: bracket_level(b, m) for b in nodes}
-    poset = MinorPoset(m, nodes, covers, levels)
-    # cover rule sanity: bumping one slot is exactly the Hasse relation of
-    # the componentwise order on increasing tuples
-    for a in nodes:
-        for b in covers[a]:
-            assert all(x <= y for x, y in zip(a, b)) and sum(b) == sum(a) + 1
-    return poset
+    return MinorPoset(m, nodes, covers, levels)
 
 
 def hankel_bracket_minors(m: int, r: int = 0, field=QQ) -> dict:
@@ -168,15 +162,6 @@ class BracketRelation:
             total = total + (minors[a] * minors[b]).scale(coeff)
         return total
 
-    def tag_polynomial(self, m: int, field=QQ) -> Polynomial:
-        tags = {b: i for i, b in enumerate(brackets(m), start=1)}
-        n = len(tags)
-        total = Polynomial.zero(field, n)
-        for coeff, a, b in self.terms:
-            term = Polynomial.variable(field, n, tags[a]) * Polynomial.variable(field, n, tags[b])
-            total = total + term.scale(coeff)
-        return total
-
     def to_string(self) -> str:
         bits = []
         for coeff, a, b in self.terms:
@@ -194,12 +179,11 @@ def _complement_bracket(pair: tuple, m: int) -> Bracket:
 
 def pluecker_relations(m: int, field=QQ) -> list:
     """All three-term relations: one per 4-subset of the columns, with the
-    signs solved against the generic minors and re-verified on the Hankel
-    minors.  Each relation's terms pair brackets sharing m-3 indices."""
+    signs solved against the generic minors.  Each relation's terms pair
+    brackets sharing m-3 indices."""
     if m < 3:
         raise IndexRangeError("relations need m >= 3")
     generic = generic_bracket_minors(m, field)
-    hank = hankel_bracket_minors(m, 0, field)
     relations = []
     for quad in combinations(range(1, m + 2), 4):
         a, b, c, d = quad
@@ -219,12 +203,9 @@ def pluecker_relations(m: int, field=QQ) -> list:
                 break
         if solution is None:
             raise AssertionError(f"no sign choice kills the relation for columns {quad}")
-        rel = BracketRelation(tuple(
+        relations.append(BracketRelation(tuple(
             (Fraction(s), ba, bb)
-            for s, (ba, bb, _) in zip(solution, products)))
-        if not rel.substitute(hank, field).is_zero():
-            raise AssertionError(f"relation for columns {quad} fails on Hankel minors")
-        relations.append(rel)
+            for s, (ba, bb, _) in zip(solution, products))))
     return relations
 
 
@@ -239,10 +220,10 @@ class StepIdentityReport:
     m: int
     delta: Bracket
     delta_prime: Bracket
-    lam: Fraction               # coefficient of delta in f_{2m-3}
-    mu: Fraction                # coefficient of delta_prime in f_{2m-3}
-    c1: Fraction                # 1/2-sized coefficient in the product relation
-    c2: Fraction
+    lam: object                 # coefficient of delta in f_{2m-3}, a field element
+    mu: object                  # coefficient of delta_prime in f_{2m-3}
+    c1: object                  # +-1/2 in the product relation
+    c2: object                  # +-1
     product_identity: bool      # Delta Delta' = c1 [..] f_{2m-2} + c2 [..] f_{2m-1}
     square_identity: bool       # Delta^2 rewritten into (f) k[brackets]
     displayed_m3_identity: Optional[bool]
@@ -269,9 +250,12 @@ def pluecker_step_identities(m: int, field=QQ) -> StepIdentityReport:
     Delta = [1..m-3, m-1, m] and Delta' = [1..m-2, m+1] are the two brackets
     of level 3; f_{2m-3} = lambda Delta + mu Delta'.  The product relation
     Delta Delta' = c1 [1..m-3, m-1, m+1] f_{2m-2} + c2 [1..m-3, m, m+1] f_{2m-1}
-    is solved exactly (|c1| = 1/2, |c2| = 1), and then
+    is solved exactly (c1 = +-1/2, c2 = +-1), and then
     Delta^2 = (1/lambda) (Delta f_{2m-3} - mu Delta Delta') is expanded through
-    it and verified symbolically.
+    it and verified symbolically.  Every coefficient is an element of
+    ``field``.  The identities need characteristic 0 or at least 5: there is
+    no 1/2 in characteristic 2, and lambda, which is 3 over QQ for m = 3..6,
+    vanishes in characteristic 3.
     """
     if m < 3:
         raise IndexRangeError("step identities need m >= 3")
@@ -285,8 +269,8 @@ def pluecker_step_identities(m: int, field=QQ) -> StepIdentityReport:
     f1 = f.derivative(2 * m - 1)
     decomp = derivative_level_decomposition(m, field)
     row = decomp.coefficients[2 * m - 3]
-    lam = Fraction(row[delta])
-    mu = Fraction(row[delta_p])
+    lam = row[delta]
+    mu = row[delta_p]
     bracket_a = prefix + (m - 1, m + 1)
     bracket_b = prefix + (m, m + 1)
     lhs = minors[delta] * minors[delta_p]
@@ -298,15 +282,18 @@ def pluecker_step_identities(m: int, field=QQ) -> StepIdentityReport:
     rhs = [lhs.terms.get(mu_, field.zero()) for mu_ in monos]
     sol = solve_consistent(rows, rhs, field)
     product_ok = sol is not None
-    c1 = Fraction(sol[0]) if sol else Fraction(0)
-    c2 = Fraction(sol[1]) if sol else Fraction(0)
+    c1, c2 = sol if sol else (field.zero(), field.zero())
     if product_ok:
-        product_ok = (abs(c1) == Fraction(1, 2) and abs(c2) == 1)
+        half = field.coerce(Fraction(1, 2))
+        product_ok = (c1 in (half, field.neg(half))
+                      and c2 in (field.one(), field.neg(field.one())))
     # Delta^2 = (1/lam) Delta f_{2m-3} - (mu/lam) (c1 [..] f_{2m-2} + c2 [..] f_{2m-1})
     square_ok = False
     if product_ok and lam != 0:
-        reconstructed = (minors[delta] * f3).scale(Fraction(1, 1) / lam) \
-            - term_a.scale(mu * c1 / lam) - term_b.scale(mu * c2 / lam)
+        inv_lam = field.inv(lam)
+        mu_lam = field.mul(mu, inv_lam)
+        reconstructed = (minors[delta] * f3).scale(inv_lam) \
+            - term_a.scale(field.mul(mu_lam, c1)) - term_b.scale(field.mul(mu_lam, c2))
         square_ok = reconstructed == minors[delta] * minors[delta]
     displayed = None
     if m == 3:
@@ -314,7 +301,7 @@ def pluecker_step_identities(m: int, field=QQ) -> StepIdentityReport:
         d2 = minors[delta] * minors[delta]
         lin = minors[delta].scale(lam) + minors[delta_p]
         displayed = (d2 - (minors[delta] * lin).scale(Fraction(1, 3))
-                     + (minors[delta] * minors[delta_p]).scale(Fraction(1, 1) / lam)).is_zero()
+                     + (minors[delta] * minors[delta_p]).scale(field.inv(lam))).is_zero()
     return StepIdentityReport(m, delta, delta_p, lam, mu, c1, c2,
                               product_ok, square_ok, displayed)
 

@@ -103,9 +103,6 @@ class Rationals:
     def add(self, a, b):
         return a + b
 
-    def sub(self, a, b):
-        return a - b
-
     def mul(self, a, b):
         return a * b
 
@@ -161,9 +158,6 @@ class PrimeField:
     def add(self, a, b):
         return (a + b) % self.p
 
-    def sub(self, a, b):
-        return (a - b) % self.p
-
     def mul(self, a, b):
         return (a * b) % self.p
 
@@ -213,10 +207,6 @@ def mono_mul(a: tuple, b: tuple) -> tuple:
 
 def mono_divides(a: tuple, b: tuple) -> bool:
     return all(x <= y for x, y in zip(a, b))
-
-
-def mono_degree(a: tuple) -> int:
-    return sum(a)
 
 
 class MonomialOrder:
@@ -545,9 +535,6 @@ class Polynomial:
         degs = {sum(e) for e in self.terms}
         return len(degs) <= 1
 
-    def coefficient(self, exps: Sequence[int]):
-        return self.terms.get(tuple(exps), self.field.zero())
-
     def constant_term(self):
         return self.terms.get(tuple([0] * self.nvars), self.field.zero())
 
@@ -558,14 +545,6 @@ class Polynomial:
         exps = [0] * self.nvars
         exps[i - 1] = d
         return self.terms.get(tuple(exps), self.field.zero())
-
-    def variables_used(self) -> set:
-        used = set()
-        for exps in self.terms:
-            for i, e in enumerate(exps):
-                if e:
-                    used.add(i + 1)
-        return used
 
     # -- arithmetic ----------------------------------------------------------
 

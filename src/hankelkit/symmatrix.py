@@ -13,7 +13,6 @@ the usual matrix conventions.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import combinations, permutations
 from math import lcm, prod
@@ -36,7 +35,6 @@ from .polyring import (
     _settle,
     _to_kernel,
     packing,
-    parse_polynomial,
 )
 
 
@@ -270,9 +268,6 @@ class SymMatrix:
             total = total + prod if inversions % 2 == 0 else total - prod
         return total
 
-    def minor(self, rows: Sequence[int], cols: Sequence[int]) -> Polynomial:
-        return self.submatrix(sorted(rows), sorted(cols)).determinant()
-
     def cofactor(self, i: int, j: int) -> Polynomial:
         """(-1)^(i+j) times the determinant with row i and column j deleted."""
         if not self.is_square():
@@ -323,21 +318,6 @@ class SymMatrix:
         if not 1 <= t <= min(self.rows, self.cols):
             raise IndexRangeError(f"minor size {t} out of range")
         return list(self._expand_minors(t))
-
-    # -- serialization ------------------------------------------------------------
-
-    def to_json(self) -> str:
-        grid = [[self.at(i, j).to_string() for j in range(1, self.cols + 1)]
-                for i in range(1, self.rows + 1)]
-        return json.dumps(grid)
-
-    @classmethod
-    def from_json(cls, text: str, field, nvars: int) -> "SymMatrix":
-        grid = json.loads(text)
-        rows = len(grid)
-        cols = len(grid[0]) if rows else 0
-        entries = [parse_polynomial(cell, field, nvars) for row in grid for cell in row]
-        return cls(rows, cols, entries)
 
     def __repr__(self):
         return f"SymMatrix({self.rows}x{self.cols}, {self.nvars} vars)"

@@ -216,18 +216,18 @@ def test_criterion_10_reduction_numbers():
         assert all(not s.equal for s in rep.steps)
 
 
-def test_criterion_11_linear_ranks(rng):
+def test_criterion_11_linear_ranks():
     with Criterion(11, "linear ranks: 3 at (4,0); m at (4,2),(5,3); 2 at (4,1),(5,1); 3 over GF(3)", 60):
         hard = [(4, 0, QQ, 3), (4, 2, QQ, 4), (5, 3, QQ, 5),
                 (4, 1, PrimeField(3), 3)]
         for m, r, field, expect in hard:
             _, _, J = gradient_ideal(m, r, field)
-            rep = gb.linear_syzygies(list(J.generators), rng)
+            rep = gb.linear_syzygies(list(J.generators))
             assert rep.linear_rank == expect, (m, r, field)
         # conjecture cells: reported as consistent, never hard-failed
         for m, r in [(4, 1), (5, 1)]:
             _, _, J = gradient_ideal(m, r)
-            rep = gb.linear_syzygies(list(J.generators), rng)
+            rep = gb.linear_syzygies(list(J.generators))
             verdict = "consistent" if rep.linear_rank == 2 else "counterexample"
             print(f"  linear-rank conjecture (m={m}, r={r}): rank "
                   f"{rep.linear_rank}, verdict {verdict}")

@@ -64,6 +64,34 @@ def test_unhonoured_field_or_order_is_a_usage_error():
         assert code == 0, args
 
 
+def test_prime_fields_give_the_qq_verdicts():
+    # each verdict over GF(5) and GF(32003) must match QQ's: at these cells a
+    # difference points at field arithmetic, not at the mathematics
+    cells = [["det", "--m", "4", "--r", "1"],
+             ["gradient", "--m", "4", "--r", "1"],
+             ["hessian-check", "--m", "4", "--r", "1"],
+             ["theta-check", "--m", "4", "--r", "0"],
+             ["theta-check", "--m", "5", "--r", "1"],
+             ["codim-minors", "--m", "4", "--r", "1", "--t", "2"],
+             ["gp-check", "--m", "3", "--t", "2"],
+             ["level-decomp", "--m", "4"],
+             ["fiber-kernel", "--m", "3"],
+             ["reduction-check", "--m", "3"],
+             ["linear-rank", "--m", "4"],
+             ["pluecker", "--m", "3"],
+             ["pluecker", "--m", "4"]]
+    for args in cells:
+        verdicts = []
+        for field in ("q", "f5", "f32003"):
+            code, out = run_cli(args + ["--field", field])
+            verdicts.append(report_of(out)["result"]["verdict"])
+        assert verdicts[1:] == [verdicts[0]] * 2, args
+    # 1/2 does not exist in characteristic 2, and lambda = 3 vanishes in 3
+    for field in ("f2", "f3"):
+        code, out = run_cli(["pluecker", "--m", "4", "--field", field])
+        assert code == 3 and not out, field
+
+
 def test_gradient_command_checks_once(monkeypatch):
     from hankelkit import gradient
 

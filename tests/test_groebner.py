@@ -13,6 +13,7 @@ from hankelkit.groebner import (
     GroebnerBasis,
     Ideal,
 )
+from hankelkit.linalg import SpanEchelon, gauss_rank
 from hankelkit.polyring import (
     BlockOrder,
     DEGREVLEX,
@@ -324,28 +325,57 @@ def test_linear_rank_values(rng):
              (4, 1, PrimeField(3), 3)]
     for m, r, field, expect in cells:
         _, _, J = gradient_ideal(m, r, field)
-        rep = gb.linear_syzygies(list(J.generators), rng)
+        rep = gb.linear_syzygies(list(J.generators))
         assert rep.linear_rank == expect, (m, r, field)
+        # every syzygy annihilates the generators
+        for syz in rep.syzygies:
+            total = Polynomial.zero(field, J.nvars)
+            for form, g in zip(syz, J.generators):
+                total = total + form * g
+            assert total.is_zero(), (m, r, field)
+        # specialising the forms at a point cannot raise the rank
+        point = [rng.randint(2, 97) for _ in range(J.nvars)]
+        numeric = [[form.evaluate(point) for form in syz] for syz in rep.syzygies]
+        assert gauss_rank(numeric, field) <= rep.linear_rank, (m, r, field)
 
 
 def test_linear_rank_invariant_under_generator_shuffle(rng):
     _, _, J = gradient_ideal(4, 1)
     gens = list(J.generators)
-    rep = gb.linear_syzygies(gens, rng)
+    rep = gb.linear_syzygies(gens)
     shuffled = gens[:]
     rng.shuffle(shuffled)
-    rep2 = gb.linear_syzygies(shuffled, rng)
+    rep2 = gb.linear_syzygies(shuffled)
     assert rep.linear_rank == rep2.linear_rank
     assert rep.space_dim == rep2.space_dim
 
 
 # -- reduction ---------------------------------------------------------------------
 
+def assert_products_inside_powers(J, I, rep):
+    """At each reported step n, span(J I^n) lies inside span(I^(n+1)) and has
+    the reported dimensions."""
+    fld = I.field
+    power_basis = [Polynomial.one(fld, I.nvars)]
+    for step in rep.steps:
+        product = SpanEchelon(fld)
+        power = SpanEchelon(fld)
+        for w in power_basis:
+            for f in J.generators:
+                product.insert((w * f).terms)
+            for g in I.generators:
+                power.insert((w * g).terms)
+        assert all(power.contains(row) for row in product.basis_rows()), step.n
+        assert (product.dim, power.dim) == (step.dim_product, step.dim_power)
+        power_basis = [Polynomial(fld, I.nvars, row) for row in power.basis_rows()]
+
+
 def test_reduction_number_generic_m3():
     h, f, J = gradient_ideal(3, 0)
     I = Ideal(QQ, 5, [mn.value for mn in h.minors(2)])
     rep = gb.reduction_check(J, I, 3)
     assert rep.contained
+    assert_products_inside_powers(J, I, rep)
     assert rep.reduction_number == 1
     assert rep.steps[0].equal is False  # J itself is not I
     assert any(s.groebner_checked for s in rep.steps)
@@ -355,6 +385,7 @@ def test_reduction_trivial_when_equal():
     ideal = minor_ideal(3, 0, 2)
     rep = gb.reduction_check(ideal, ideal, 2)
     assert rep.reduction_number == 0
+    assert_products_inside_powers(ideal, ideal, rep)
 
 
 def test_no_reduction_for_middle_degeneration():
@@ -363,6 +394,7 @@ def test_no_reduction_for_middle_degeneration():
     rep = gb.reduction_check(J, P, 2)
     assert rep.contained
     assert rep.reduction_number is None
+    assert_products_inside_powers(J, P, rep)
 
 
 def test_reduction_requires_containment():

@@ -36,6 +36,10 @@ def test_poset_counts_and_cover_bounds(m):
         mp.bracket_level(b, m) for b in poset.nodes)
     assert min(poset.levels.values()) == 1
     assert max(poset.levels.values()) == 2 * m - 1
+    # a cover bumps one slot by 1: componentwise larger, sum larger by 1
+    for a in poset.nodes:
+        for b in poset.upper_covers[a]:
+            assert all(x <= y for x, y in zip(a, b)) and sum(b) == sum(a) + 1
 
 
 def test_cofactor_symmetry_of_square_hankel():
@@ -116,13 +120,6 @@ def test_step_identities_m4():
     rep = mp.pluecker_step_identities(4)
     assert rep.delta == (1, 3, 4) and rep.delta_prime == (1, 2, 5)
     assert rep.product_identity and rep.square_identity
-
-
-def test_bracket_relation_tag_polynomial():
-    rel = mp.pluecker_relations(3)[0]
-    tagged = rel.tag_polynomial(3)
-    assert tagged.nvars == 6
-    assert len(tagged.terms) == 3
 
 
 def test_fiber_kernel_m3_matches_grassmannian():

@@ -1,7 +1,6 @@
 """Hankel builders, determinants against the permutation oracle, cofactors,
 minors, block partitions, and the maximal-minor transfer."""
 
-import json
 from fractions import Fraction
 from itertools import combinations
 
@@ -316,12 +315,3 @@ def test_block_partition_shapes_and_identity():
             assert top.at(i, j) + rest.at(i, j) == expect
     with pytest.raises(Exception):
         block_partition(m, r, m - 1)
-
-
-def test_matrix_json_round_trip():
-    h = hankel_square(3, 1)
-    text = h.to_json()
-    parsed = json.loads(text)
-    assert parsed[2][2] == "0"
-    again = SymMatrix.from_json(text, QQ, 4)
-    assert again == h
