@@ -161,19 +161,14 @@ def cmd_poset(m, cfg: RunConfig):
 
 
 def cmd_pluecker(m, cfg: RunConfig):
-    if cfg.field.characteristic in (2, 3):
-        raise UsageError("pluecker needs characteristic 0 or >= 5, where 1/2 and lambda = 3 "
-                         "are invertible")
     relations = minorposet.pluecker_relations(m, cfg.field)
+    steps = minorposet.pluecker_step_identities(m, cfg.field)
     witness = {"relations": [rel.to_string() for rel in relations],
-               "count": len(relations)}
-    ok = True
-    if m >= 3:
-        steps = minorposet.pluecker_step_identities(m, cfg.field)
-        witness["step_identities"] = steps.as_dict()
-        ok = steps.product_identity and steps.square_identity
-        if steps.displayed_m3_identity is not None:
-            ok = ok and steps.displayed_m3_identity
+               "count": len(relations),
+               "step_identities": steps.as_dict()}
+    ok = steps.product_identity and steps.square_identity
+    if steps.displayed_m3_identity is not None:
+        ok = ok and steps.displayed_m3_identity
     return ("pass" if ok else "fail"), witness
 
 
@@ -272,12 +267,13 @@ def cmd_regular_seq(m, cfg: RunConfig, upto: Optional[int] = None):
 class Command:
     """A subcommand: its ``cmd_*`` function (called with the params as
     keywords), the grid parameters it reads (from m, r and t, where t is
-    required), its extra flags, and whether it honours any --field (else QQ
-    only) and any --order (else degrevlex only)."""
+    required), its extra flags, the least prime p of a GF(p) it honours
+    (None: QQ only), and whether it honours any --order (else degrevlex
+    only)."""
     run: Callable
     grid: tuple = ("m", "r")
     flags: tuple = ()
-    any_field: bool = True
+    min_prime: Optional[int] = 2
     any_order: bool = False
 
 
@@ -285,19 +281,20 @@ COMMANDS = {
     "det": Command(cmd_det),
     "gradient": Command(cmd_gradient),
     "hessian-check": Command(cmd_hessian_check),
-    "appendix-check": Command(cmd_appendix_check, any_field=False),
+    "appendix-check": Command(cmd_appendix_check, min_prime=None),
     "theta-check": Command(cmd_theta_check),
     "codim-minors": Command(cmd_codim_minors, ("m", "r", "t"), any_order=True),
-    "codim-gradient": Command(cmd_codim_gradient, any_field=False),
+    "codim-gradient": Command(cmd_codim_gradient, min_prime=None),
     "gp-check": Command(cmd_gp_check, ("m", "r", "t")),
-    "poset": Command(cmd_poset, ("m",), any_field=False),
-    "pluecker": Command(cmd_pluecker, ("m",)),
+    "poset": Command(cmd_poset, ("m",), min_prime=None),
+    # 1/2 and lambda = 3 must be invertible in the step identities
+    "pluecker": Command(cmd_pluecker, ("m",), min_prime=5),
     "level-decomp": Command(cmd_level_decomp, ("m",)),
     "fiber-kernel": Command(cmd_fiber_kernel, flags=("stretch",)),
     "linear-rank": Command(cmd_linear_rank),
     "reduction-check": Command(cmd_reduction_check, flags=("nmax",)),
-    "minimal-primes": Command(cmd_minimal_primes, any_field=False),
-    "regular-seq": Command(cmd_regular_seq, ("m",), ("upto",), any_field=False),
+    "minimal-primes": Command(cmd_minimal_primes, min_prime=None),
+    "regular-seq": Command(cmd_regular_seq, ("m",), ("upto",), min_prime=None),
 }
 
 # the argparse spelling of every grid parameter and extra flag
@@ -317,8 +314,11 @@ def run_command(name: str, params: dict, cfg: RunConfig) -> tuple:
     command = COMMANDS.get(name)
     if command is None:
         raise UsageError(f"unknown command {name!r}")
-    if not command.any_field and cfg.field != QQ:
+    p = cfg.field.characteristic
+    if p and command.min_prime is None:
         raise UsageError(f"{name} computes over QQ only")
+    if p and p < command.min_prime:
+        raise UsageError(f"{name} needs characteristic 0 or at least {command.min_prime}")
     if not command.any_order and cfg.order != DEGREVLEX:
         raise UsageError(f"{name} computes in degrevlex only")
     return command.run(cfg=cfg, **params)

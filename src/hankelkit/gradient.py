@@ -8,12 +8,13 @@ anti-diagonals, over a ring with n = 2m-r-1 variables.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice, product
 from math import factorial
 from typing import Optional
 
 from . import groebner
 from .groebner import BudgetExceededError, GBBudget, Ideal
-from .linalg import det, gauss_rank, nullspace
+from .linalg import coefficient_rows, det, gauss_rank, nullspace
 from .polyring import DEGREVLEX, IndexRangeError, Polynomial, QQ, RingMap
 from .symmatrix import SymMatrix, _blocks, hankel_square
 
@@ -149,7 +150,7 @@ def hessian_nonzero_certificate(m: int, r: int, rng=None, field=QQ,
         n = data.nvars
         for _ in range(5):
             point = [rng.randint(1, 1000) for _ in range(n)]
-            numeric = [[e.evaluate(point) for e in data.matrix.row(i)]
+            numeric = [dict(enumerate(e.evaluate(point) for e in data.matrix.row(i)))
                        for i in range(1, n + 1)]
             value = det(numeric, field)
             if value != 0:
@@ -372,9 +373,11 @@ class MinimalPrimesReport:
 
 
 def minimal_primes_checks(m: int, r: int, budget: Optional[GBBudget] = None,
-                          cache=None, radical_samples: int = 4) -> MinimalPrimesReport:
+                          cache=None) -> MinimalPrimesReport:
     """Computable containments for the two minimal primes of the gradient
-    ideal at 1 <= r <= m-3: Q = (x_m..x_{2m-r-1}) and P = submaximal minors."""
+    ideal at 1 <= r <= m-3: Q = (x_m..x_{2m-r-1}) and P = submaximal minors.
+    The radical spot check tests q*p in rad(J) for the first four pairs of
+    generators (q, p) of Q x P."""
     if not 1 <= r <= m - 3:
         raise IndexRangeError("minimal-prime structure needs 1 <= r <= m-3")
     data = gradient(m, r)
@@ -397,17 +400,8 @@ def minimal_primes_checks(m: int, r: int, budget: Optional[GBBudget] = None,
     if not budget_hit:
         try:
             J = data.ideal()
-            spot = True
-            count = 0
-            for qg in Q.generators:
-                for pg in P.generators:
-                    if count >= radical_samples:
-                        break
-                    spot = spot and groebner.radical_membership(qg * pg, J, budget, cache)
-                    count += 1
-                if count >= radical_samples:
-                    break
-            radical_spot = spot
+            radical_spot = all(groebner.radical_membership(qg * pg, J, budget, cache)
+                               for qg, pg in islice(product(Q.generators, P.generators), 4))
         except BudgetExceededError:
             radical_spot = None
             budget_hit = True
@@ -446,19 +440,15 @@ def generic_syzygy_shape_check(m: int) -> SyzygyShapeReport:
     n = data.nvars
     F = data.partials
 
+    def unit(v):
+        return tuple(int(j == v) for j in range(1, n + 1))
+
     def constrained(var_of):
         # one unknown per generator; lambda_i = u_i * x_{var_of(i)};
         # var_of(i) = None forces lambda_i = 0
         columns = [i for i in range(1, n + 1) if var_of(i) is not None]
-        rows: dict = {}
-        for col, i in enumerate(columns):
-            v = var_of(i)
-            for exps, coeff in F[i - 1].terms.items():
-                mu = exps[:v - 1] + (exps[v - 1] + 1,) + exps[v:]
-                row = rows.setdefault(mu, [QQ.zero()] * len(columns))
-                row[col] = QQ.add(row[col], coeff)
-        matrix = [rows[mu] for mu in sorted(rows)]
-        kernel = nullspace(matrix, len(columns), QQ)
+        polys = [F[i - 1].mul_term(unit(var_of(i)), 1) for i in columns]
+        kernel = nullspace(coefficient_rows(polys), len(columns), QQ)
         if len(kernel) != 1:
             return None
         out = [QQ.zero()] * n
@@ -473,15 +463,11 @@ def generic_syzygy_shape_check(m: int) -> SyzygyShapeReport:
     spans = False
     if down and up and diag:
         full = linear_syzygy_space_dim(F)
-        candidates = []
-        for vec, var_of in ((down, lambda i: i - 1), (up, lambda i: i + 1),
-                            (diag, lambda i: i)):
-            flat = [QQ.zero()] * (n * n)
-            for i in range(1, n + 1):
-                v = var_of(i)
-                if 1 <= v <= n:
-                    flat[(i - 1) * n + (v - 1)] = vec[i - 1]
-            candidates.append(flat)
+        # each candidate as a sparse row over the n*n coefficients (i, v)
+        candidates = [{(i - 1) * n + (v - 1): vec[i - 1]
+                       for i in range(1, n + 1) if 1 <= (v := var_of(i)) <= n}
+                      for vec, var_of in ((down, lambda i: i - 1), (up, lambda i: i + 1),
+                                          (diag, lambda i: i))]
         spans = (gauss_rank(candidates, QQ) == 3 == full)
     return SyzygyShapeReport(m, down, up, diag, down_nonzero, spans)
 

@@ -32,7 +32,8 @@ from math import gcd
 from operator import itemgetter
 from typing import Optional, Sequence
 
-from .linalg import SpanEchelon, nullspace, poly_divide_exact, poly_matrix_rank
+from .linalg import (SpanEchelon, coefficient_rows, nullspace, poly_divide_exact,
+                     poly_matrix_rank)
 from .polyring import (  # MAX_DEGREE is re-exported: groebner.MAX_DEGREE
     _FIELD_BITS,
     _FIELD_MASK,
@@ -597,28 +598,13 @@ def linear_syzygies(F: Sequence[Polynomial]) -> SyzygyReport:
         if f.is_zero() or not f.is_homogeneous() or f.total_degree() != d:
             raise PolyError("generators must be homogeneous of one degree")
     g = len(F)
-    cols = g * n
-    row_index: dict = {}
-    entries: dict = {}
-    for i, f in enumerate(F):
-        for exps, coeff in f.terms.items():
-            for j in range(n):
-                mu = exps[:j] + (exps[j] + 1,) + exps[j + 1:]
-                row = row_index.setdefault(mu, len(row_index))
-                entries[(row, i * n + j)] = fld.add(
-                    entries.get((row, i * n + j), fld.zero()), coeff)
-    matrix = [[fld.zero()] * cols for _ in range(len(row_index))]
-    for (r, c), v in entries.items():
-        matrix[r][c] = v
-    kernel = nullspace(matrix, cols, fld)
-    syzygies = []
-    for vec in kernel:
-        forms = []
-        for i in range(g):
-            forms.append(Polynomial(fld, n,
-                                    {tuple(1 if jj == j else 0 for jj in range(n)): vec[i * n + j]
-                                     for j in range(n)}))
-        syzygies.append(tuple(forms))
+    # column i*n + j holds x_j * F_i
+    units = [tuple(int(jj == j) for jj in range(n)) for j in range(n)]
+    columns = [f.mul_term(e, 1) for f in F for e in units]
+    kernel = nullspace(coefficient_rows(columns), len(columns), fld)
+    syzygies = [tuple(Polynomial(fld, n, {e: vec[i * n + j] for j, e in enumerate(units)})
+                      for i in range(g))
+                for vec in kernel]
     if not syzygies:
         return SyzygyReport(g, 0, 0, ())
     rank = poly_matrix_rank([list(s) for s in syzygies])
@@ -651,15 +637,15 @@ class ReductionReport:
 
 
 def reduction_check(J: Ideal, I: Ideal, nmax: int,
-                    budget: Optional[GBBudget] = None, cache=None,
-                    groebner_limit: int = 80) -> ReductionReport:
+                    budget: Optional[GBBudget] = None, cache=None) -> ReductionReport:
     """Smallest n <= nmax with J I^n = I^(n+1), or None.
 
     Requires J, I homogeneous and equigenerated in one common degree, which
     makes ideal equality of the equigenerated products the same as equality of
     the k-spans of their generators in that degree; the span route is exact
-    linear algebra.  When the generator products stay small the Groebner
-    ideal_equal route is also run and must agree.
+    linear algebra.  When the generator products stay small (at most 80
+    generators together) the Groebner ideal_equal route is also run and must
+    agree.
     """
     budget = budget or DEFAULT_BUDGET
     if not (J.is_equigenerated() and I.is_equigenerated()):
@@ -696,7 +682,7 @@ def reduction_check(J: Ideal, I: Ideal, nmax: int,
         # J in I (proved above) puts J I^n inside I^(n+1): equal dims, equal spans
         equal = product_span.dim == power_span.dim
         step = ReductionStep(n, product_span.dim, power_span.dim, equal)
-        if len(product_polys) + len(power_polys) <= groebner_limit:
+        if len(product_polys) + len(power_polys) <= 80:
             gb_equal = ideal_equal(Ideal(fld, I.nvars, product_polys),
                                    Ideal(fld, I.nvars, power_polys),
                                    DEGREVLEX, budget, cache)

@@ -1,8 +1,12 @@
 """Exact linear algebra over a field: one sparse echelon core for spans,
 rank, nullspace, solve and determinant, plus fraction-free polynomial rank.
 
-Everything here is exact; the rationals go through integer-primitive rows to
-keep big-integer growth in check.
+Matrices are sparse rows {column: entry}.  ``coefficient_rows`` is the one
+place a family of polynomials becomes such a matrix (a row per monomial, a
+column per polynomial), so every linear relation among polynomials is a
+``nullspace`` or ``solve_consistent`` of its rows.  Everything here is exact;
+the rationals go through integer-primitive rows to keep big-integer growth in
+check.
 """
 
 from __future__ import annotations
@@ -159,26 +163,39 @@ def span_dimension(polys: Sequence[Polynomial], field=None) -> int:
     return span.dim
 
 
+def coefficient_rows(polys: Sequence[Polynomial]) -> list:
+    """The coefficient matrix of a family of polynomials as sparse rows: one
+    row {column: coefficient} per monomial, in increasing exponent order,
+    where column i holds the coefficients of polys[i]."""
+    rows: dict = {}
+    for col, p in enumerate(polys):
+        for mono, c in p.terms.items():
+            rows.setdefault(mono, {})[col] = c
+    return [rows[mono] for mono in sorted(rows)]
+
+
 def _column_echelon(rows, field) -> SpanEchelon:
-    """The echelon of the rows of a dense matrix, with column indices as
-    coordinates and the lead at the smallest column."""
+    """The echelon of sparse rows {column: entry}, with the lead at the
+    smallest column."""
     span = SpanEchelon(field, keyfn=neg)
     for row in rows:
-        span.insert({i: c for i, c in enumerate(row) if c})
+        span.insert(row)
     return span
 
 
-def gauss_rank(rows: Sequence[Sequence], field=QQ) -> int:
-    """Exact rank of a dense matrix given as rows of field elements."""
+def gauss_rank(rows: Sequence[dict], field=QQ) -> int:
+    """Exact rank of a matrix given as sparse rows {column: entry}."""
     return _column_echelon(rows, field).dim
 
 
-def nullspace(rows: Sequence[Sequence], ncols: int, field=QQ) -> list:
-    """Basis of the right nullspace of the matrix, read off its reduced row
+def nullspace(rows: Sequence[dict], ncols: int, field=QQ) -> list:
+    """Basis of the right nullspace of the matrix of sparse rows
+    {column: entry} over columns 0..ncols-1, read off its reduced row
     echelon form.
 
-    One vector per free column, in column order: 1 at its own free column,
-    0 at the other free columns.  The form is unique, so the output is too.
+    One dense vector per free column, in column order: 1 at its own free
+    column, 0 at the other free columns.  The form is unique, so the output
+    is too.
     """
     zero = field.zero()
     pivots = _column_echelon(rows, field).reduced_rows()
@@ -194,16 +211,15 @@ def nullspace(rows: Sequence[Sequence], ncols: int, field=QQ) -> list:
     return list(basis.values())
 
 
-def solve_consistent(rows: Sequence[Sequence], rhs: Sequence, field=QQ):
-    """Solve A x = b for a consistent (possibly overdetermined) system.
+def solve_consistent(rows: Sequence[dict], ncols: int, field=QQ):
+    """Solve A x = b for a consistent (possibly overdetermined) system given
+    as sparse rows of the augmented matrix: columns 0..ncols-1 hold A and
+    column ncols holds b.
 
     Returns the solution with free coordinates set to zero, or None if the
     system is inconsistent.
     """
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    span = _column_echelon([list(row) + [b] for row, b in zip(rows, rhs)], field)
+    span = _column_echelon(rows, field)
     if ncols in span.pivots:
         return None
     sol = [field.zero()] * ncols
@@ -213,8 +229,9 @@ def solve_consistent(rows: Sequence[Sequence], rhs: Sequence, field=QQ):
     return sol
 
 
-def det(rows: Sequence[Sequence], field=QQ):
-    """Exact determinant of a square matrix given as rows of field elements.
+def det(rows: Sequence[dict], field=QQ):
+    """Exact determinant of a square matrix given as sparse rows
+    {column: entry}.
 
     Each row is reduced against the earlier ones; ``_reduce`` reports the
     scalar it multiplied the row by, so the unscaled pivots, and the sign of
@@ -224,7 +241,7 @@ def det(rows: Sequence[Sequence], field=QQ):
     value = field.one()
     leads = []
     for terms in rows:
-        row, mul, div = span._reduce({i: c for i, c in enumerate(terms) if c})
+        row, mul, div = span._reduce(terms)
         if not row:
             return field.zero()
         lead = span._lead(row)

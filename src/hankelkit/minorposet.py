@@ -16,7 +16,7 @@ from typing import Optional
 
 from . import groebner
 from .groebner import BudgetExceededError, GBBudget
-from .linalg import SpanEchelon, solve_consistent
+from .linalg import SpanEchelon, coefficient_rows, nullspace, solve_consistent
 from .polyring import DEGREVLEX, IndexRangeError, PolyError, Polynomial, QQ
 from .symmatrix import HankelSpec, SymMatrix, hankel, hankel_square
 
@@ -129,14 +129,8 @@ def derivative_level_decomposition(m: int, field=QQ) -> LevelDecomposition:
         fk = f.derivative(k)
         level = 2 * m - k
         members = [b for b in brackets(m) if bracket_level(b, m) == level]
-        monomials = set(fk.terms)
-        for b in members:
-            monomials.update(minors[b].terms)
-        monomials = sorted(monomials)
-        rows = [[minors[b].terms.get(mu, field.zero()) for b in members]
-                for mu in monomials]
-        rhs = [fk.terms.get(mu, field.zero()) for mu in monomials]
-        sol = solve_consistent(rows, rhs, field)
+        rows = coefficient_rows([minors[b] for b in members] + [fk])
+        sol = solve_consistent(rows, len(members), field)
         if sol is None:
             raise LevelDecompositionError(
                 f"f_{k} is not a combination of the level-{level} brackets")
@@ -276,11 +270,7 @@ def pluecker_step_identities(m: int, field=QQ) -> StepIdentityReport:
     lhs = minors[delta] * minors[delta_p]
     term_a = minors[bracket_a] * f2
     term_b = minors[bracket_b] * f1
-    monos = sorted(set(lhs.terms) | set(term_a.terms) | set(term_b.terms))
-    rows = [[term_a.terms.get(mu_, field.zero()), term_b.terms.get(mu_, field.zero())]
-            for mu_ in monos]
-    rhs = [lhs.terms.get(mu_, field.zero()) for mu_ in monos]
-    sol = solve_consistent(rows, rhs, field)
+    sol = solve_consistent(coefficient_rows([term_a, term_b, lhs]), 2, field)
     product_ok = sol is not None
     c1, c2 = sol if sol else (field.zero(), field.zero())
     if product_ok:
@@ -342,10 +332,7 @@ def _relation_space(minor_list: list, degree: int, field=QQ) -> list:
         for idx in combo[1:]:
             prod = prod * minor_list[idx]
         products.append(prod)
-    monomials = sorted(set().union(*[set(p.terms) for p in products]))
-    rows = [[p.terms.get(mu, field.zero()) for p in products] for mu in monomials]
-    from .linalg import nullspace
-    return nullspace(rows, len(combos), field), combos
+    return nullspace(coefficient_rows(products), len(combos), field), combos
 
 
 def fiber_kernel_compare(m: int, r: int, field=QQ,

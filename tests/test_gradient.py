@@ -142,9 +142,10 @@ def test_fraction_det_helper():
     # the determinant behind the Hessian evaluation fallback
     from fractions import Fraction
     from hankelkit.linalg import det
-    assert det([[1, 2], [3, 4]]) == -2
-    assert det([[1, 2], [2, 4]]) == 0
-    assert det([[Fraction(1, 2), 0], [0, 4]]) == 2
+    # rows are sparse {column: entry}
+    assert det([{0: 1, 1: 2}, {0: 3, 1: 4}]) == -2
+    assert det([{0: 1, 1: 2}, {0: 2, 1: 4}]) == 0
+    assert det([{0: Fraction(1, 2)}, {1: 4}]) == 2
 
 
 def test_hessian_evaluation_is_over_the_field():

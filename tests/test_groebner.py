@@ -335,7 +335,8 @@ def test_linear_rank_values(rng):
             assert total.is_zero(), (m, r, field)
         # specialising the forms at a point cannot raise the rank
         point = [rng.randint(2, 97) for _ in range(J.nvars)]
-        numeric = [[form.evaluate(point) for form in syz] for syz in rep.syzygies]
+        numeric = [{j: form.evaluate(point) for j, form in enumerate(syz)}
+                   for syz in rep.syzygies]
         assert gauss_rank(numeric, field) <= rep.linear_rank, (m, r, field)
 
 

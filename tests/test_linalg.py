@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from hankelkit.linalg import (
     SpanEchelon,
+    coefficient_rows,
     det,
     gauss_rank,
     nullspace,
@@ -23,10 +24,15 @@ def x(i, n=3):
     return Polynomial.variable(QQ, n, i)
 
 
+def sparse(rows):
+    """Dense rows as the sparse rows {column: entry} that linalg reads."""
+    return [{j: c for j, c in enumerate(row) if c} for row in rows]
+
+
 def test_gauss_rank_and_nullspace():
     rows = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
-    assert gauss_rank(rows) == 2
-    basis = nullspace(rows, 3)
+    assert gauss_rank(sparse(rows)) == 2
+    basis = nullspace(sparse(rows), 3)
     assert len(basis) == 1
     v = basis[0]
     for row in rows:
@@ -35,16 +41,16 @@ def test_gauss_rank_and_nullspace():
 
 def test_nullspace_over_gf3():
     f3 = PrimeField(3)
-    rows = [[1, 2], [2, 1]]
+    rows = sparse([[1, 2], [2, 1]])
     assert gauss_rank(rows, f3) == 1  # second row = 2 * first mod 3
     basis = nullspace(rows, 2, f3)
     assert len(basis) == 1
 
 
 def test_solve_consistent():
-    rows = [[1, 0], [0, 1], [1, 1]]
-    assert solve_consistent(rows, [2, 3, 5]) == [2, 3]
-    assert solve_consistent(rows, [2, 3, 6]) is None
+    # the right-hand side sits in column 2
+    assert solve_consistent(sparse([[1, 0, 2], [0, 1, 3], [1, 1, 5]]), 2) == [2, 3]
+    assert solve_consistent(sparse([[1, 0, 2], [0, 1, 3], [1, 1, 6]]), 2) is None
 
 
 def test_span_echelon_membership():
@@ -86,8 +92,8 @@ def test_span_echelon_reads_fractions_over_gf_p():
     # 1/2 is 2 in GF(3), not 0
     f3 = PrimeField(3)
     assert SpanEchelon(f3).insert({(1,): Fraction(1, 2)})
-    assert gauss_rank([[Fraction(1, 2)]], f3) == 1
-    assert solve_consistent([[Fraction(1, 2)]], [1], f3) == [2]
+    assert gauss_rank(sparse([[Fraction(1, 2)]]), f3) == 1
+    assert solve_consistent(sparse([[Fraction(1, 2), 1]]), 1, f3) == [2]
 
 
 # -- properties of the echelon core over QQ, GF(3) and GF(32003) -------------
@@ -129,16 +135,16 @@ def _leibniz(field, rows):
 def _free_columns(field, rows, ncols):
     """Columns that do not raise the rank of the columns before them."""
     return [c for c in range(ncols)
-            if gauss_rank([r[:c + 1] for r in rows], field)
-            == (gauss_rank([r[:c] for r in rows], field) if c else 0)]
+            if gauss_rank(sparse(r[:c + 1] for r in rows), field)
+            == (gauss_rank(sparse(r[:c] for r in rows), field) if c else 0)]
 
 
 @settings(max_examples=150, deadline=None)
 @given(matrices())
 def test_nullspace_properties(case):
     field, rows, ncols = case
-    rank = gauss_rank(rows, field)
-    basis = nullspace(rows, ncols, field)
+    rank = gauss_rank(sparse(rows), field)
+    basis = nullspace(sparse(rows), ncols, field)
     assert len(basis) == ncols - rank
     free = _free_columns(field, rows, ncols)
     assert len(free) == len(basis)
@@ -157,12 +163,9 @@ def test_solve_consistent_properties(case, data):
         # a consistent right-hand side A x0
         x0 = data.draw(st.lists(ENTRY, min_size=ncols, max_size=ncols))
         rhs = [_dot(field, row, x0) for row in rows]
-    sol = solve_consistent(rows, rhs, field)
-    if not rows:
-        assert sol == []
-        return
-    augmented = [list(row) + [b] for row, b in zip(rows, rhs)]
-    if gauss_rank(augmented, field) > gauss_rank(rows, field):
+    augmented = sparse(list(row) + [b] for row, b in zip(rows, rhs))
+    sol = solve_consistent(augmented, ncols, field)
+    if gauss_rank(augmented, field) > gauss_rank(sparse(rows), field):
         assert sol is None
         return
     assert sol is not None and len(sol) == ncols
@@ -180,11 +183,56 @@ def test_rank_is_the_largest_nonzero_minor(case):
             for cs in combinations(range(ncols), k):
                 if _leibniz(field, [[rows[i][j] for j in cs] for i in rs]) != field.zero():
                     largest = k
-    assert gauss_rank(rows, field) == largest
+    assert gauss_rank(sparse(rows), field) == largest
 
 
 @settings(max_examples=150, deadline=None)
 @given(matrices(max_size=5, square=True))
 def test_det_is_the_leibniz_expansion(case):
     field, rows, _ = case
-    assert det(rows, field) == _leibniz(field, rows)
+    assert det(sparse(rows), field) == _leibniz(field, rows)
+
+
+# 2 variables, exponents 0..2: nine monomials, so small families are often dependent
+MONOMIAL = st.tuples(st.integers(0, 2), st.integers(0, 2))
+
+
+@st.composite
+def polynomial_families(draw):
+    """A field, a family of polynomials with some combinations of its first
+    members appended, and the coefficients of a target combination."""
+    field = draw(st.sampled_from(FIELDS))
+    poly = st.builds(lambda terms: Polynomial(field, 2, terms),
+                     st.dictionaries(MONOMIAL, ENTRY, max_size=4))
+    base = draw(st.lists(poly, max_size=4))
+    polys = list(base)
+    for _ in range(draw(st.integers(0, 2))):
+        coeffs = draw(st.lists(ENTRY, min_size=len(base), max_size=len(base)))
+        polys.append(_combine(field, coeffs, base))
+    target = draw(st.lists(ENTRY, min_size=len(polys), max_size=len(polys)))
+    return field, polys, target
+
+
+def _combine(field, coeffs, polys):
+    total = Polynomial.zero(field, 2)
+    for c, p in zip(coeffs, polys):
+        total = total + p.scale(c)
+    return total
+
+
+@settings(max_examples=150, deadline=None)
+@given(polynomial_families())
+def test_coefficient_rows_give_the_relations_of_a_family(case):
+    field, polys, coeffs = case
+    rows = coefficient_rows(polys)
+    # one row per monomial in increasing exponent order; column i is polys[i]
+    monomials = sorted(set().union(*(p.terms for p in polys)))
+    assert rows == [{i: p.terms[mu] for i, p in enumerate(polys) if mu in p.terms}
+                    for mu in monomials]
+    basis = nullspace(rows, len(polys), field)
+    assert len(basis) == len(polys) - span_dimension(polys, field)
+    for vec in basis:
+        assert _combine(field, vec, polys).is_zero()
+    target = _combine(field, coeffs, polys)
+    sol = solve_consistent(coefficient_rows(polys + [target]), len(polys), field)
+    assert sol is not None and _combine(field, sol, polys) == target
