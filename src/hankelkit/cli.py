@@ -114,6 +114,13 @@ def cmd_appendix_check(m, r, cfg: RunConfig):
 
 def cmd_theta_check(m, r, cfg: RunConfig):
     rep = gradient.theta_check(m, r, cfg.field)
+    p = cfg.field.characteristic
+    if p and not rep.ok:
+        # the GF(p) determinant is the QQ one mod p: a QQ pass whose scalar
+        # p divides says nothing about the claim in characteristic p
+        qq = gradient.theta_check(m, r, QQ)
+        if qq.ok and qq.scalar % p == 0:
+            raise UsageError(f"theta-check: {p} divides the scalar {qq.scalar} at m={m}, r={r}")
     verdict = "pass" if rep.ok else "fail"
     return verdict, {"scalar": None if rep.scalar is None else cfg.field.format(rep.scalar),
                      "exponent": rep.exponent, "determinant": rep.determinant}

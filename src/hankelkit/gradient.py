@@ -8,6 +8,7 @@ anti-diagonals, over a ring with n = 2m-r-1 variables.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice, product
 from math import factorial
 from typing import Optional
@@ -90,11 +91,18 @@ class HessianData:
     r: int
     f: Polynomial
     matrix: SymMatrix           # n x n second partials
-    degenerated: Polynomial     # det of the matrix after the three-variable kill
 
     @property
     def nvars(self) -> int:
         return self.matrix.nvars
+
+    @cached_property
+    def degenerated(self) -> Polynomial:
+        """The determinant of the matrix after the three-variable kill."""
+        n, keep = self.nvars, survivors(self.m, self.r)
+        kill = RingMap.kill_variables(self.f.field, n,
+                                      [i for i in range(1, n + 1) if i not in keep])
+        return self.matrix.apply_map(kill).determinant()
 
 
 def survivors(m: int, r: int) -> set:
@@ -103,20 +111,10 @@ def survivors(m: int, r: int) -> set:
 
 
 def hessian(m: int, r: int, field=QQ) -> HessianData:
-    _check_params(m, r)
-    h = hankel_square(m, r, field)
-    f = h.determinant()
-    n = h.nvars
-    partials = [f.derivative(k) for k in range(1, n + 1)]
-    entries = []
-    for i in range(n):
-        row = [partials[i].derivative(j + 1) for j in range(n)]
-        entries.extend(row)
-    matrix = SymMatrix(n, n, entries)
-    keep = survivors(m, r)
-    kill = RingMap.kill_variables(field, n, [i for i in range(1, n + 1) if i not in keep])
-    degenerated = matrix.apply_map(kill).determinant()
-    return HessianData(m, r, f, matrix, degenerated)
+    data = gradient(m, r, field)
+    n = data.nvars
+    entries = [fk.derivative(j) for fk in data.partials for j in range(1, n + 1)]
+    return HessianData(m, r, data.f, SymMatrix(n, n, entries))
 
 
 def hessian_degenerated(m: int, r: int, field=QQ) -> Polynomial:

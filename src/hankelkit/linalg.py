@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import neg
 from typing import Sequence
 
 from .polyring import DEGREVLEX, QQ, Polynomial, mono_divides
@@ -34,18 +33,17 @@ def _row_primitive(row: dict) -> tuple:
 class SpanEchelon:
     """Incremental echelon basis of a k-span of sparse vectors.
 
-    Vectors are dicts keyed by hashable coordinates (exponent tuples, or
-    column indices under ``keyfn=operator.neg``, which puts the lead at the
-    smallest index).  Over QQ the rows are kept integer and primitive; over
-    GF(p) coefficients are canonical residues.  ``insert`` reduces the vector
+    Vectors are dicts keyed by mutually comparable coordinates (column
+    indices, exponent tuples, tag combinations); a row's lead is its smallest
+    coordinate.  Over QQ the rows are kept integer and primitive; over GF(p)
+    coefficients are canonical residues.  ``insert`` reduces the vector
     against the current pivots and either absorbs it (returns False) or
     installs a new pivot row (returns True).  A pivot row is reduced at its
     lead only; ``reduced_rows`` gives the reduced row echelon form.
     """
 
-    def __init__(self, field=QQ, keyfn=None):
+    def __init__(self, field=QQ):
         self.field = field
-        self.keyfn = keyfn or DEGREVLEX.key
         self.pivots: dict = {}
 
     @property
@@ -53,7 +51,7 @@ class SpanEchelon:
         return len(self.pivots)
 
     def _lead(self, row: dict):
-        return max(row, key=self.keyfn)
+        return min(row)
 
     def _to_int_row(self, terms: dict) -> tuple:
         """(row, mul, div) with row = mul/div * terms: the nonzero entries as
@@ -130,19 +128,19 @@ class SpanEchelon:
         return self.contains(p.terms)
 
     def basis_rows(self) -> list:
-        return [self.pivots[k] for k in sorted(self.pivots, key=self.keyfn, reverse=True)]
+        return [self.pivots[k] for k in sorted(self.pivots)]
 
     def reduced_rows(self) -> dict:
         """The reduced row echelon form of the span: lead -> row over the
         field with 1 at its lead and no entry at any other lead.
 
-        Unlike the pivot rows it is unique for the span and the key.  Each
-        pivot row is cleared at the other leads in it, which are all below
-        its own, taking the pivots from the lowest lead up, so every row
-        used to clear is already reduced and adds entries at no lead.
+        Unlike the pivot rows it is unique for the span.  Each pivot row is
+        cleared at the other leads in it, which are all above its own,
+        taking the pivots from the highest lead down, so every row used to
+        clear is already reduced and adds entries at no lead.
         """
         done: dict = {}
-        for lead in sorted(self.pivots, key=self.keyfn):
+        for lead in sorted(self.pivots, reverse=True):
             row = self.pivots[lead]
             for k in [k for k in row if k in done]:
                 row = self._eliminate(row, done[k], k)[0]
@@ -175,9 +173,9 @@ def coefficient_rows(polys: Sequence[Polynomial]) -> list:
 
 
 def _column_echelon(rows, field) -> SpanEchelon:
-    """The echelon of sparse rows {column: entry}, with the lead at the
-    smallest column."""
-    span = SpanEchelon(field, keyfn=neg)
+    """The echelon of sparse rows {column: entry}; each pivot row's lead is
+    its smallest column, so the pivots are the first independent columns."""
+    span = SpanEchelon(field)
     for row in rows:
         span.insert(row)
     return span
@@ -237,7 +235,7 @@ def det(rows: Sequence[dict], field=QQ):
     scalar it multiplied the row by, so the unscaled pivots, and the sign of
     the permutation taking rows to their lead columns, give the determinant.
     """
-    span = SpanEchelon(field, keyfn=neg)
+    span = SpanEchelon(field)
     value = field.one()
     leads = []
     for terms in rows:

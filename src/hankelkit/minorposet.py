@@ -336,16 +336,16 @@ def _relation_space(minor_list: list, degree: int, field=QQ) -> list:
 
 
 def fiber_kernel_compare(m: int, r: int, field=QQ,
-                         budget: Optional[GBBudget] = None, cache=None,
-                         scan_only: bool = False) -> FiberKernelReport:
+                         budget: Optional[GBBudget] = None, cache=None) -> FiberKernelReport:
     """Defining relations of the algebra generated by the maximal minors of
     the (m-1) x (m+1) degeneration.
 
     The full kernel goes through elimination (budget-aware); independently an
     exact linear-algebra scan finds the relation spaces in degrees 2 and 3 and
-    the count of minimal cubic generators (cubic relations not of the form
-    linear * quadric).  At r = 0 the kernel is compared with the generic
-    (m-1) x (m+1) matrix's bracket kernel.
+    the count of minimal cubic generators: the rank the cubic kernel adds to
+    the span of the tag multiples t * q of the quadric relations q.  At r = 0
+    the kernel is compared with the generic (m-1) x (m+1) matrix's bracket
+    kernel.
     """
     if m < 3:
         raise IndexRangeError("fiber comparison needs m >= 3")
@@ -358,52 +358,40 @@ def fiber_kernel_compare(m: int, r: int, field=QQ,
 
     (quad_kernel, quad_combos) = _relation_space(minor_list, 2, field)
     (cubic_kernel, cubic_combos) = _relation_space(minor_list, 3, field)
-    # minimal cubics: cubic kernel modulo tag * quadric-kernel
-    trivial = SpanEchelon(field, keyfn=lambda k: k)
+    # tag multiples t * q need no sums: for a fixed t, combo -> sorted(combo
+    # + (t,)) is one-to-one on the quadric combos
+    cubic_span = SpanEchelon(field)
     for vec in quad_kernel:
         for t in range(tags):
-            lifted = {}
-            for combo, coeff in zip(quad_combos, vec):
-                if coeff == field.zero():
-                    continue
-                key = tuple(sorted(combo + (t,)))
-                lifted[key] = field.add(lifted.get(key, field.zero()), coeff)
-            lifted = {k: v for k, v in lifted.items() if v != field.zero()}
-            if lifted:
-                trivial.insert(lifted)
-    cubic_span = SpanEchelon(field, keyfn=lambda k: k)
-    new_cubics = 0
-    for vec in cubic_kernel:
-        terms = {combo: c for combo, c in zip(cubic_combos, vec) if c != field.zero()}
-        reduced = trivial.reduce(terms)
-        if reduced and cubic_span.insert(reduced):
-            new_cubics += 1
+            cubic_span.insert({tuple(sorted(combo + (t,))): c
+                               for combo, c in zip(quad_combos, vec)})
+    new_cubics = sum(cubic_span.insert(dict(zip(cubic_combos, vec)))
+                     for vec in cubic_kernel)
 
     kernel_gens = None
     degrees = None
     kernels_equal = None
     verdict = "pass"
-    if not scan_only:
-        try:
-            kernel = groebner.kernel_of_algebra_map(minor_list, budget, cache)
-            kernel_gens = [g.to_string() for g in kernel.generators]
-            degrees = {}
-            for g in kernel.generators:
-                degrees[g.total_degree()] = degrees.get(g.total_degree(), 0) + 1
-            degrees = {str(k): v for k, v in sorted(degrees.items())}
-            # the elimination route must agree with the exact scan: reduced
-            # basis elements of degree 2 span the quadric relation space
-            if degrees.get("2", 0) != len(quad_kernel):
-                raise AssertionError(
-                    "elimination and relation-scan quadric counts disagree")
-            if r == 0:
-                generic = generic_bracket_minors(m, field)
-                generic_kernel = groebner.kernel_of_algebra_map(
-                    [generic[b] for b in bracket_list], budget, cache)
-                kernels_equal = groebner.ideal_equal(kernel, generic_kernel,
-                                                     DEGREVLEX, budget, cache)
-        except BudgetExceededError:
-            verdict = "budget-exceeded"
+    try:
+        kernel = groebner.kernel_of_algebra_map(minor_list, budget, cache)
+        kernel_gens = [g.to_string() for g in kernel.generators]
+        degrees = {}
+        for g in kernel.generators:
+            degrees[g.total_degree()] = degrees.get(g.total_degree(), 0) + 1
+        degrees = {str(k): v for k, v in sorted(degrees.items())}
+        # the elimination route must agree with the exact scan: reduced
+        # basis elements of degree 2 span the quadric relation space
+        if degrees.get("2", 0) != len(quad_kernel):
+            raise AssertionError(
+                "elimination and relation-scan quadric counts disagree")
+        if r == 0:
+            generic = generic_bracket_minors(m, field)
+            generic_kernel = groebner.kernel_of_algebra_map(
+                [generic[b] for b in bracket_list], budget, cache)
+            kernels_equal = groebner.ideal_equal(kernel, generic_kernel,
+                                                 DEGREVLEX, budget, cache)
+    except BudgetExceededError:
+        verdict = "budget-exceeded"
     return FiberKernelReport(m, r, tags, kernel_gens, degrees,
                              len(quad_kernel), len(cubic_kernel), new_cubics,
                              kernels_equal, verdict)

@@ -92,6 +92,18 @@ def test_prime_fields_give_the_qq_verdicts():
         assert code == 3 and not out, field
 
 
+def test_theta_check_rejects_a_prime_dividing_its_scalar():
+    # the QQ scalar is 16 at m = 3, 72 at m = 4 and 800 at m = 6; where p
+    # divides it the GF(p) determinant vanishes whatever the claim says
+    for args in (["--m", "4", "--r", "2", "--field", "f3"],
+                 ["--m", "3", "--r", "0", "--field", "f2"],
+                 ["--m", "6", "--r", "0", "--field", "f5"]):
+        code, out = run_cli(["theta-check"] + args)
+        assert code == 3 and not out, args
+    code, out = run_cli(["theta-check", "--m", "4", "--r", "2", "--field", "f5"])
+    assert code == 0 and report_of(out)["result"]["witness"]["scalar"] == "2"
+
+
 def test_gradient_command_checks_once(monkeypatch):
     from hankelkit import gradient
 

@@ -197,6 +197,27 @@ def test_det_is_the_leibniz_expansion(case):
 MONOMIAL = st.tuples(st.integers(0, 2), st.integers(0, 2))
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(FIELDS), st.sampled_from([st.integers(0, 5), MONOMIAL]), st.data())
+def test_span_echelon_leads_are_smallest_coordinates(field, keys, data):
+    vectors = data.draw(st.lists(st.dictionaries(keys, ENTRY, max_size=4), max_size=6))
+    span = SpanEchelon(field)
+    for vec in vectors:
+        span.insert(vec)
+    assert all(lead == min(row) for lead, row in span.pivots.items())
+    assert [min(row) for row in span.basis_rows()] == sorted(span.pivots)
+    reduced = span.reduced_rows()
+    assert reduced.keys() == span.pivots.keys()
+    for lead, row in reduced.items():
+        assert row[lead] == field.one()
+        assert [k for k in row if k in reduced] == [lead]
+    # the reduced rows span what was inserted
+    again = SpanEchelon(field)
+    for row in reduced.values():
+        again.insert(row)
+    assert again.dim == span.dim and all(again.contains(vec) for vec in vectors)
+
+
 @st.composite
 def polynomial_families(draw):
     """A field, a family of polynomials with some combinations of its first

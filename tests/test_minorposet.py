@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from hankelkit import minorposet as mp
-from hankelkit.polyring import Polynomial, QQ
+from hankelkit.polyring import Polynomial, PrimeField, QQ
 from hankelkit.symmatrix import hankel_square
 
 
@@ -138,9 +138,22 @@ def test_fiber_kernel_m3_r1_reports_degrees():
 
 
 def test_fiber_kernel_m4_r1_scan_finds_cubic():
-    rep = mp.fiber_kernel_compare(4, 1, scan_only=True)
+    rep = mp.fiber_kernel_compare(4, 1)
+    assert rep.verdict == "pass"
     assert rep.quadric_relations == 5
     assert rep.new_cubic_generators == 1
+    assert rep.generator_degrees == {"2": 5, "3": 1, "4": 1, "5": 1}
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3), PrimeField(32003)],
+                         ids=["QQ", "GF3", "GF32003"])
+@pytest.mark.parametrize("m, r, counts", [(3, 0, (1, 6, 0)), (3, 1, (2, 12, 0)),
+                                          (4, 2, (10, 85, 0))])
+def test_fiber_kernel_relation_counts(field, m, r, counts):
+    # (quadric relations, cubic relations, new cubic generators)
+    rep = mp.fiber_kernel_compare(m, r, field)
+    assert rep.verdict == "pass"
+    assert (rep.quadric_relations, rep.cubic_relations, rep.new_cubic_generators) == counts
 
 
 def test_specialization_map_carries_generic_minors_to_hankel():
