@@ -1,25 +1,44 @@
 """Persistent on-disk cache for reduced Groebner bases.
 
-Entries live at ``<dir>/gb/<sha256>.txt`` in the canonical polynomial text
-grammar; the key hashes the engine version, a digest of the engine sources
-(``groebner.py`` and ``polyring.py``), field, order, variable count and the
-canonical generator list, so any change to the inputs or the engine misses
-cleanly.  Writes are atomic (temp file + rename).
+An entry lives at ``<dir>/gb/<sha256>.txt`` as one JSON object: the format,
+engine version, field, variable count and order, and a ``basis`` that lists
+each element's kernel terms (see ``groebner``) as ``[packed key, integer
+coefficient]`` pairs, integer-primitive with a positive lead over QQ and
+monic over GF(p).  A hit builds the basis and its kernel entries straight
+from those terms, with no text to parse and no monomial to re-encode.
+
+The key hashes the entry format, the engine version, a digest of the engine
+sources (``cache.py``, ``groebner.py`` and ``polyring.py``), field, order,
+variable count and each generator's sorted kernel terms, so any change to
+the inputs, the engine or the entry layout misses cleanly.  Every hit is
+checked before it is served: keys must be valid packed monomials (no guard
+bit in the key or its exponents), coefficients nonzero ints (residues in
+``[1, p)`` over GF(p)) with the lead normalized as above, leads strictly
+increasing with none dividing another, and every generator must reduce to
+zero against the loaded basis.  An entry that cannot be read or fails a
+check is evicted and counted as a miss, and the basis is recomputed.  The
+check catches a corrupted or foreign entry; it does not prove the basis
+correct, which ``verify`` does by the S-polynomial criterion.  Writes are
+atomic (temp file + rename).
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import tempfile
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
+from math import gcd
 from pathlib import Path
 
-from .polyring import field_from_descriptor, order_from_descriptor, parse_polynomial
+from .groebner import DEFAULT_BUDGET, _reduce_full, kernel_basis, verify_basis
+from .polyring import (_FIELD_BITS, field_from_descriptor, order_from_descriptor, packing,
+                       _to_kernel)
 
-_FORMAT = "hankelkit-gb-1"
-_ENGINE_SOURCES = ("groebner.py", "polyring.py")
+_FORMAT = "hankelkit-gb-2"
+_ENGINE_SOURCES = ("cache.py", "groebner.py", "polyring.py")
 
 
 @lru_cache(maxsize=None)
@@ -31,7 +50,9 @@ def engine_digest() -> str:
     return h.hexdigest()
 
 
-def cache_key(engine_version: str, ideal, order) -> str:
+def cache_key(engine_version: str, ideal, order, generators: list) -> str:
+    """The entry key of ``ideal`` under ``order``, given the kernel terms of
+    its generators in that order's packing."""
     h = hashlib.sha256()
     h.update(_FORMAT.encode())
     h.update(engine_version.encode())
@@ -39,10 +60,51 @@ def cache_key(engine_version: str, ideal, order) -> str:
     h.update(ideal.field.descriptor().encode())
     h.update(str(ideal.nvars).encode())
     h.update(order.descriptor().encode())
-    for g in ideal.generators:
+    for terms in generators:
         h.update(b"\n")
-        h.update(g.to_string().encode())
+        h.update(repr(sorted(terms.items())).encode())
     return h.hexdigest()
+
+
+def _elements(basis, pk, p: int) -> list:
+    """The stored basis as one dict of kernel terms per element; ValueError
+    unless every key is a valid packed monomial, every coefficient a nonzero
+    int (a residue over GF(p)) and every lead normalized."""
+    guard = pk.guard
+    low = pk.low
+    invalid = ~((1 << _FIELD_BITS * pk.nvars) - 1 - guard)
+    elements = []
+    for pairs in basis:
+        terms = dict(pairs)
+        if not terms or len(terms) != len(pairs):
+            raise ValueError("empty element or repeated key")
+        for k, c in terms.items():
+            if (type(k) is not int or k & invalid
+                    or (k - ((k & low) << _FIELD_BITS)) & guard):
+                raise ValueError(f"invalid monomial key {k!r}")
+            if type(c) is not int or not ((0 < c < p) if p else c):
+                raise ValueError(f"invalid coefficient {c!r}")
+        lc = terms[max(terms)]
+        if (lc != 1) if p else (lc < 0 or gcd(*terms.values()) != 1):
+            raise ValueError("element not normalized")
+        elements.append(terms)
+    return elements
+
+
+def _check(entries: list, generators: list, pk, p: int) -> None:
+    """ValueError unless the leads of the entries increase strictly, none
+    divides another and every generator reduces to zero against them."""
+    guard = pk.guard
+    divisors = [e[1] for e in entries]
+    for i, (lead, d, *_) in enumerate(entries):
+        if i and lead <= entries[i - 1][0]:
+            raise ValueError("leads out of order")
+        e = guard - d
+        if sum((e + dd) & guard == guard for dd in divisors) != 1:
+            raise ValueError("a lead divides another")
+    for terms in generators:
+        if _reduce_full(terms, entries, pk, p, DEFAULT_BUDGET.max_terms)[0]:
+            raise ValueError("a generator does not reduce to zero")
 
 
 @dataclass
@@ -57,73 +119,63 @@ class GroebnerCache:
         self.directory = Path(self.directory)
         (self.directory / "gb").mkdir(parents=True, exist_ok=True)
 
-    def _path(self, key: str) -> Path:
-        return self.directory / "gb" / f"{key}.txt"
+    def _locate(self, ideal, order) -> tuple:
+        """(entry path, packing, kernel terms of the generators) of ``ideal``
+        under ``order``."""
+        pk = packing(order, ideal.nvars)
+        generators = [_to_kernel(g, pk)[0] for g in ideal.generators]
+        key = cache_key(self.engine_version, ideal, order, generators)
+        return self.directory / "gb" / f"{key}.txt", pk, generators
 
     def get(self, ideal, order):
-        from .groebner import GroebnerBasis
-
-        key = cache_key(self.engine_version, ideal, order)
-        path = self._path(key)
+        fld = ideal.field
+        path, pk, generators = self._locate(ideal, order)
         if not path.exists():
             self.misses += 1
             return None
         try:
-            polys, meta = self._load(path, ideal.field)
-        except Exception:
-            self._evict(path, "unreadable entry")
-            self.misses += 1
-            return None
-        if (meta["field"] != ideal.field.descriptor()
-                or int(meta["nvars"]) != ideal.nvars
-                or meta["order"] != order.descriptor()):
-            self._evict(path, "metadata mismatch")
+            data = self._load(path, fld)
+            if (data["nvars"], data["order"]) != (ideal.nvars, order.descriptor()):
+                raise ValueError("metadata mismatch")
+            elements = _elements(data["basis"], pk, fld.characteristic)
+            gb = kernel_basis(fld, ideal.nvars, order, elements, {"from_cache": True})
+            _check(gb.kernel_entries(), generators, pk, fld.characteristic)
+        except Exception as exc:
+            self._evict(path, f"rejected: {exc}")
             self.misses += 1
             return None
         self.hits += 1
-        return GroebnerBasis(ideal.field, ideal.nvars, order, tuple(polys),
-                             {"from_cache": True})
+        return gb
 
     def put(self, ideal, order, gb) -> None:
-        key = cache_key(self.engine_version, ideal, order)
-        path = self._path(key)
-        lines = [
-            f"# format: {_FORMAT}",
-            f"# engine: {self.engine_version}",
-            f"# field: {ideal.field.descriptor()}",
-            f"# nvars: {ideal.nvars}",
-            f"# order: {order.descriptor()}",
-        ]
-        lines.extend(p.to_string() for p in gb.polys)
-        data = "\n".join(lines) + "\n"
+        path = self._locate(ideal, order)[0]
+        data = json.dumps({
+            "format": _FORMAT,
+            "engine": self.engine_version,
+            "field": ideal.field.descriptor(),
+            "nvars": ideal.nvars,
+            "order": order.descriptor(),
+            "basis": [[[lead, lc], *tail] for lead, _, lc, tail, _ in gb.kernel_entries()],
+        }, separators=(",", ":"))
         fd, tmp = tempfile.mkstemp(dir=self.directory / "gb", suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as fh:
-                fh.write(data)
+                fh.write(data + "\n")
             os.replace(tmp, path)
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
 
-    def _load(self, path: Path, fld):
-        meta = {}
-        polys = []
-        nvars = None
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    k, _, v = line[1:].partition(":")
-                    meta[k.strip()] = v.strip()
-                    if k.strip() == "nvars":
-                        nvars = int(v.strip())
-                    continue
-                if nvars is None:
-                    raise ValueError("polynomial before nvars header")
-                polys.append(parse_polynomial(line, fld, nvars))
-        return polys, meta
+    def _load(self, path: Path, fld) -> dict:
+        """The entry at ``path`` as a dict; ValueError unless it is a JSON
+        object of this format for the field ``fld``."""
+        with open(path, "rb") as fh:
+            data = json.load(fh)
+        if not isinstance(data, dict) or data.get("format") != _FORMAT:
+            raise ValueError(f"not a {_FORMAT} entry")
+        if data.get("field") != fld.descriptor():
+            raise ValueError("metadata mismatch")
+        return data
 
     def _evict(self, path: Path, reason: str) -> None:
         self.evictions.append((path.name, reason))
@@ -157,25 +209,20 @@ class GroebnerCache:
     def verify(self, rng, samples: int = 3) -> dict:
         """Re-check S-polynomial reduction on a few cached bases before
         trusting the cache; corrupted entries are evicted with a warning."""
-        from . import groebner
-        from .groebner import GroebnerBasis
-
         files = self.entries()
         chosen = files if len(files) <= samples else rng.sample(files, samples)
         checked, evicted = [], []
         for path in chosen:
             try:
-                meta_field = None
-                with open(path) as fh:
-                    for line in fh:
-                        if line.startswith("# field:"):
-                            meta_field = line.split(":", 1)[1].strip()
-                            break
-                fld = field_from_descriptor(meta_field)
-                polys, meta = self._load(path, fld)
-                order = order_from_descriptor(meta["order"])
-                gb = GroebnerBasis(fld, int(meta["nvars"]), order, tuple(polys))
-                if not groebner.verify_basis(gb):
+                with open(path, "rb") as fh:
+                    fld = field_from_descriptor(json.load(fh)["field"])
+                data = self._load(path, fld)
+                order = order_from_descriptor(data["order"])
+                nvars = data["nvars"]
+                pk = packing(order, nvars)
+                elements = _elements(data["basis"], pk, fld.characteristic)
+                gb = kernel_basis(fld, nvars, order, elements, {})
+                if not verify_basis(gb):
                     raise ValueError("S-polynomial check failed")
                 checked.append(path.name)
             except Exception as exc:

@@ -359,6 +359,7 @@ def write_report(report: dict, out_dir: Path, command: str) -> Path:
 
 
 def execute(command: str, params: dict, cfg: RunConfig) -> dict:
+    hits = cfg.cache.hits if cfg.cache else 0
     t0 = time.monotonic()
     try:
         verdict, witness = run_command(command, params, cfg)
@@ -373,7 +374,7 @@ def execute(command: str, params: dict, cfg: RunConfig) -> dict:
         "schema": SCHEMA,
         "result": result,
         "timing_ms": elapsed,
-        "cache_hits": cfg.cache.hits if cfg.cache else 0,
+        "cache_hits": cfg.cache.hits - hits if cfg.cache else 0,
     }
     return report
 

@@ -117,7 +117,8 @@ class GroebnerBasis:
     _entries: Optional[list] = dc_field(default=None, init=False, repr=False, compare=False)
 
     def kernel_entries(self) -> list:
-        """The basis as kernel entries (see ``_entry``), built on first use."""
+        """The basis as kernel entries (see ``_entry``): preset by
+        ``kernel_basis``, else built from ``polys`` on first use."""
         if self._entries is None:
             pk = packing(self.order, self.nvars)
             mod = self.field.characteristic
@@ -160,6 +161,19 @@ def _entry(terms: dict, pk: MonomialPacking, p: int) -> tuple:
         tops |= max((k >> s) & _FIELD_MASK for k in terms) << s
     tail = [(k, c) for k, c in terms.items() if k != lead]
     return (lead, pk.guard - pk.exps(lead), terms[lead], tail, tops)
+
+
+def kernel_basis(field, nvars: int, order: MonomialOrder, elements: list,
+                 stats: dict) -> GroebnerBasis:
+    """The basis whose elements have the kernel terms ``elements`` (a dict
+    each, integer-primitive with a positive lead over QQ, monic over GF(p)),
+    with its kernel entries built from them rather than re-encoded."""
+    pk = packing(order, nvars)
+    p = field.characteristic
+    gb = GroebnerBasis(field, nvars, order,
+                       tuple(_from_kernel(t, pk, field, nvars) for t in elements), stats)
+    gb._entries = [_entry(t, pk, p) for t in elements]
+    return gb
 
 
 def _reduce_full(work: dict, reducers: list, pk: MonomialPacking, p: int,
@@ -376,13 +390,12 @@ def buchberger(ideal: Ideal, order: MonomialOrder = DEGREVLEX,
         e = guard - entry[1]
         if not any((e + m[1]) & guard == guard for m in minimal):
             minimal.append(entry)
-    polys = []
+    reduced = []
     for idx, (lead, _, lc, tail, _) in enumerate(minimal):
         others = minimal[:idx] + minimal[idx + 1:]
-        nf = _reduce_full({lead: lc, **dict(tail)}, others, pk, p, budget.max_terms)[0]
-        polys.append(_from_kernel(nf, pk, ideal.field, ideal.nvars))
-    stats.update(basis_size=len(polys), from_cache=False)
-    gb = GroebnerBasis(ideal.field, ideal.nvars, order, tuple(polys), stats)
+        reduced.append(_reduce_full({lead: lc, **dict(tail)}, others, pk, p, budget.max_terms)[0])
+    stats.update(basis_size=len(reduced), from_cache=False)
+    gb = kernel_basis(ideal.field, ideal.nvars, order, reduced, stats)
     if cache is not None:
         cache.put(ideal, order, gb)
     return gb

@@ -17,7 +17,7 @@ rationals, residues over GF(p)).  Products, the determinants of
 ``symmatrix`` and the Groebner engine convert to it once and back once; a
 block degree above ``MAX_DEGREE`` raises BudgetExceededError.
 
-The canonical text form (used for fixtures and the on-disk cache) is:
+The canonical text form (used for fixtures and reports) is:
 signed terms joined by ``+``/``-``, each term ``c`` or ``c*x<i>^<e>*...`` with
 ``c`` a rational ``p/q`` (``/q`` omitted when q = 1, ``c*`` omitted when
 c = 1, ``^e`` omitted when e = 1), variables in increasing index and terms in
@@ -439,6 +439,13 @@ def _from_kernel(terms: dict, pk: MonomialPacking, field, nvars: int,
     return Polynomial(field, nvars, out, _trusted=True)
 
 
+def _degrevlex_lead(terms) -> tuple:
+    """The degrevlex-largest exponent tuple of a nonempty collection: of
+    those of top total degree, the one whose reversal is smallest."""
+    top = max(map(sum, terms))
+    return min((e for e in terms if sum(e) == top), key=lambda e: e[::-1])
+
+
 def _mul_add(acc: dict, a: dict, b: dict) -> None:
     """acc += a * b on kernel terms with integer coefficients; a sum that
     cancels stays in ``acc`` as a zero (see ``_settle``)."""
@@ -701,7 +708,8 @@ class Polynomial:
         """Over QQ: (content, primitive) with integer primitive part, positive leading sign.
 
         The primitive part has integer coefficients with gcd 1 and a positive
-        coefficient on its degrevlex-leading monomial; content * primitive == self.
+        coefficient on its degrevlex-leading monomial; content * primitive == self,
+        and the primitive part is ``self`` when ``self`` is already one.
         """
         if self.field != QQ:
             raise FieldMismatchError("content extraction is defined over QQ")
@@ -710,8 +718,10 @@ class Polynomial:
         coeffs = self.terms.values()
         num = gcd(*(c.numerator for c in coeffs))
         den = lcm(*(c.denominator for c in coeffs))
-        if self.terms[max(self.terms, key=DEGREVLEX.key)] < 0:
+        if self.terms[_degrevlex_lead(self.terms)] < 0:
             num = -num
+        elif num == den == 1:
+            return 1, self
         prim = Polynomial(QQ, self.nvars,
                           {e: c.numerator * (den // c.denominator) // num
                            for e, c in self.terms.items()}, _trusted=True)

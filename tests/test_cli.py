@@ -8,7 +8,9 @@ import shlex
 from pathlib import Path
 
 from hankelkit import cli
+from hankelkit.cache import _FORMAT
 from hankelkit.cli import main, sweep_cells
+from hankelkit.polyring import DEGREVLEX, packing
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -183,15 +185,28 @@ def test_cache_verify_evicts_corruption(tmp_path):
     run_cli(["codim-gradient", "--m", "3", "--r", "1", "--cache", str(cache_dir)])
     entries = sorted(Path(cache_dir, "gb").glob("*.txt"))
     assert entries
-    # corrupt one basis: a reducible pair that cannot be a reduced basis
-    entries[0].write_text(
-        "# format: hankelkit-gb-1\n# engine: x\n# field: QQ\n# nvars: 2\n"
-        "# order: degrevlex\nx1\nx1*x2\n")
+    # corrupt one basis: a well-formed entry whose reducible pair x1, x1*x2
+    # cannot be a reduced basis
+    pk = packing(DEGREVLEX, 2)
+    entries[0].write_text(json.dumps({
+        "format": _FORMAT, "engine": "x", "field": "QQ", "nvars": 2,
+        "order": "degrevlex",
+        "basis": [[[pk.encode((1, 0)), 1]], [[pk.encode((1, 1)), 1]]]}))
     code, out = run_cli(["cache", "verify", "--cache", str(cache_dir)])
     assert code == 0
     rep = report_of(out)
     assert entries[0].name in rep["evicted"]
     assert not entries[0].exists()
+
+
+def test_report_counts_the_cache_hits_of_its_own_call(tmp_path):
+    cfg = cli._build_config("q", "degrevlex", 0, 200_000, str(tmp_path / "cache"), None)
+    params = {"m": 3, "r": 1}
+    cold, warm, again = (cli.execute("codim-gradient", dict(params), cfg) for _ in range(3))
+    assert warm["cache_hits"] > 0
+    assert again["cache_hits"] == warm["cache_hits"]
+    assert cold["cache_hits"] + warm["cache_hits"] + again["cache_hits"] == cfg.cache.hits
+    assert cold["result"] == warm["result"] == again["result"]
 
 
 def test_cache_verify_accepts_good_entries(tmp_path):

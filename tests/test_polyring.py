@@ -17,6 +17,7 @@ from hankelkit.polyring import (
     QQ,
     RingMap,
     ZeroPolynomialError,
+    _degrevlex_lead,
     parse_polynomial,
 )
 
@@ -292,6 +293,22 @@ def test_initial_term_multiplicative(p, q):
 @given(polys)
 def test_text_round_trip_property(p):
     assert parse_polynomial(p.to_string(), QQ, NVARS) == p
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=1, max_value=6).flatmap(lambda n: st.dictionaries(
+    st.tuples(*[st.integers(min_value=0, max_value=3)] * n),
+    st.fractions(min_value=-6, max_value=6, max_denominator=6), min_size=1, max_size=8)))
+def test_primitive_sign_follows_the_degrevlex_lead(terms):
+    p = Polynomial(QQ, len(next(iter(terms))), terms)
+    if p.is_zero():
+        return
+    lead = max(p.terms, key=DEGREVLEX.key)
+    assert _degrevlex_lead(p.terms) == lead
+    content, prim = p.content_and_primitive()
+    assert prim.scale(content) == p and prim.terms[lead] > 0
+    assert all(type(c) is int for c in prim.terms.values())
+    assert prim.primitive() is prim
 
 
 # integral and fractional QQ, and two prime fields where large coefficients wrap
