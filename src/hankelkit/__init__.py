@@ -9,7 +9,6 @@ from .polyring import (
     Polynomial,
     PrimeField,
     Rationals,
-    RingMap,
     parse_polynomial,
 )
 from .symmatrix import HankelSpec, SymMatrix, hankel, hankel_square, phi_endomorphism
@@ -27,7 +26,6 @@ __all__ = [
     "Polynomial",
     "PrimeField",
     "Rationals",
-    "RingMap",
     "parse_polynomial",
     "HankelSpec",
     "SymMatrix",

@@ -149,7 +149,7 @@ def cmd_codim_gradient(m, r, cfg: RunConfig):
 def cmd_gp_check(m, r, t, cfg: RunConfig):
     if not 1 <= t <= m:
         raise UsageError(f"t={t} outside 1..{m}")
-    rep = gruson_peskine_check(m, t, 2 * m - 1, r, cfg.field, cfg.budget, cfg.cache)
+    rep = gruson_peskine_check(m, t, 2 * m - 1, r, cfg.field)
     verdict = "pass" if rep.equal else "fail"
     return verdict, rep.as_dict()
 
@@ -233,22 +233,39 @@ def cmd_linear_rank(m, r, cfg: RunConfig):
     return "pass", witness
 
 
-def cmd_reduction_check(m, r, cfg: RunConfig, nmax: int = 3):
-    h = hankel_square(m, r, cfg.field)
-    J = gradient.gradient(m, r, cfg.field).ideal()
-    I = Ideal(cfg.field, h.nvars, [mn.value for mn in h.minors(m - 1)])
+def _reduction_cell(m, r, field, cfg: RunConfig, nmax: int):
+    """(verdict, report) of the reduction-number check over ``field``."""
+    h = hankel_square(m, r, field)
+    J = gradient.gradient(m, r, field).ideal()
+    I = Ideal(field, h.nvars, [mn.value for mn in h.minors(m - 1)])
     rep = groebner.reduction_check(J, I, nmax, cfg.budget, cfg.cache)
-    witness = rep.as_dict()
     if not rep.contained:
-        return "fail", witness
-    if r == 0:
+        verdict = "fail"
+    elif r == 0:
         verdict = "pass" if rep.reduction_number == m - 2 else "fail"
     elif 1 <= r <= m - 3:
         verdict = "pass" if rep.reduction_number is None else "fail"
     else:
         verdict = "pass"
-    witness["expected"] = (m - 2 if r == 0
-                           else None if 1 <= r <= m - 3 else "unspecified")
+    return verdict, rep
+
+
+def cmd_reduction_check(m, r, cfg: RunConfig, nmax: int = 3):
+    verdict, rep = _reduction_cell(m, r, cfg.field, cfg, nmax)
+    p = cfg.field.characteristic
+    if p and verdict == "fail":
+        # the GF(p) spans are images of the QQ ones: where a step loses
+        # dimension mod p, the verdict says nothing about the claim
+        qq_verdict, qq = _reduction_cell(m, r, QQ, cfg, nmax)
+        if qq_verdict == "pass" and any(
+                (a.dim_product, a.dim_power) != (b.dim_product, b.dim_power)
+                for a, b in zip(rep.steps, qq.steps)):
+            raise UsageError(f"reduction-check: characteristic {p} changes the span "
+                             f"dimensions at m={m}, r={r}")
+    witness = rep.as_dict()
+    if rep.contained:
+        witness["expected"] = (m - 2 if r == 0
+                               else None if 1 <= r <= m - 3 else "unspecified")
     return verdict, witness
 
 
@@ -505,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
         for arg in command.grid + command.flags:
             p.add_argument(f"--{arg}", **_ARGUMENTS[arg])
         _engine_flags(p)
-        p.add_argument("--out", default=os.environ.get("HANKEL_OUT_DIR", "results"))
+        p.add_argument("--out", default=os.environ.get("HANKEL_OUT_DIR", "reports"))
         p.add_argument("--format", default="json", choices=["json", "csv"])
 
     p = sub.add_parser("sweep")

@@ -16,7 +16,7 @@ from typing import Optional
 from . import groebner
 from .groebner import BudgetExceededError, GBBudget, Ideal
 from .linalg import coefficient_rows, det, gauss_rank, nullspace
-from .polyring import DEGREVLEX, IndexRangeError, Polynomial, QQ, RingMap
+from .polyring import DEGREVLEX, IndexRangeError, Polynomial, QQ
 from .symmatrix import SymMatrix, _blocks, hankel_square
 
 
@@ -31,7 +31,6 @@ def _check_params(m: int, r: int):
 class GradientData:
     """f and its partials f_1..f_n.
 
-    delta(i, j) is the signed cofactor of the (j, i) entry of the matrix.
     Constructed through :func:`gradient`, which checks nothing:
     :func:`cofactor_decomposition_check` and :func:`euler_identity_check`
     verify the data on request.
@@ -42,9 +41,6 @@ class GradientData:
     matrix: SymMatrix
     f: Polynomial
     partials: tuple
-
-    def delta(self, i: int, j: int) -> Polynomial:
-        return self.matrix.delta(i, j)
 
     @property
     def nvars(self) -> int:
@@ -100,9 +96,8 @@ class HessianData:
     def degenerated(self) -> Polynomial:
         """The determinant of the matrix after the three-variable kill."""
         n, keep = self.nvars, survivors(self.m, self.r)
-        kill = RingMap.kill_variables(self.f.field, n,
-                                      [i for i in range(1, n + 1) if i not in keep])
-        return self.matrix.apply_map(kill).determinant()
+        targets = [i if i in keep else None for i in range(1, n + 1)]
+        return self.matrix.map_entries(lambda e: e.rename(n, targets)).determinant()
 
 
 def survivors(m: int, r: int) -> set:
@@ -271,11 +266,9 @@ def theta_check(m: int, r: int, field=QQ) -> ThetaReport:
     _check_params(m, r)
     data = hessian(m, r, field)
     n = data.nvars
+    targets = [i if i <= m + 1 else None for i in range(1, n + 1)]
     sub = data.matrix.submatrix(range(1, m + 2), range(1, m + 2))
-    dead = list(range(m + 2, n + 1))
-    if dead:
-        sub = sub.apply_map(RingMap.kill_variables(field, n, dead))
-    det = sub.determinant()
+    det = sub.map_entries(lambda e: e.rename(n, targets)).determinant()
     exponent = (m + 1) * (m - 2)
     mono = tuple(exponent if i == m else 0 for i in range(n))
     scalar = det.terms.get(mono)
@@ -380,8 +373,8 @@ def minimal_primes_checks(m: int, r: int, budget: Optional[GBBudget] = None,
         raise IndexRangeError("minimal-prime structure needs 1 <= r <= m-3")
     data = gradient(m, r)
     n = data.nvars
-    kill = RingMap.kill_variables(QQ, n, range(m, n + 1))
-    in_q = all(kill.apply(fk).is_zero() for fk in data.partials)
+    targets = [i if i < m else None for i in range(1, n + 1)]
+    in_q = all(fk.rename(n, targets).is_zero() for fk in data.partials)
     p_gens = [mn.value for mn in data.matrix.minors(m - 1)]
     P = Ideal(QQ, n, p_gens)
     Q = Ideal(QQ, n, [Polynomial.variable(QQ, n, i) for i in range(m, n + 1)])

@@ -488,30 +488,19 @@ def elimination(ideal: Ideal, elim_vars: Sequence[int],
                 budget: Optional[GBBudget] = None, cache=None) -> Ideal:
     """Generators of I intersected with the subring omitting ``elim_vars``
     (1-based).  The surviving variables keep their relative order."""
+    n = ideal.nvars
     elim = sorted(set(elim_vars))
-    if any(not 1 <= v <= ideal.nvars for v in elim):
+    if any(not 1 <= v <= n for v in elim):
         raise PolyError("elimination variable out of range")
-    rest = [v for v in range(1, ideal.nvars + 1) if v not in elim]
-    new_pos = {v: i for i, v in enumerate(elim + rest)}
+    rest = [v for v in range(1, n + 1) if v not in elim]
+    position = {v: i for i, v in enumerate(elim + rest, start=1)}
+    to_front = [position[v] for v in range(1, n + 1)]
     k = len(elim)
-
-    def permute(p: Polynomial) -> Polynomial:
-        out = {}
-        for exps, c in p.terms.items():
-            ne = [0] * ideal.nvars
-            for v0, e in enumerate(exps):
-                ne[new_pos[v0 + 1]] = e
-            out[tuple(ne)] = c
-        return Polynomial(p.field, ideal.nvars, out, _trusted=True)
-
-    permuted = Ideal(ideal.field, ideal.nvars, [permute(g) for g in ideal.generators])
+    permuted = Ideal(ideal.field, n, [g.rename(n, to_front) for g in ideal.generators])
     gb = buchberger(permuted, BlockOrder(k), budget, cache)
-    kept = []
-    for g in gb.polys:
-        if any(any(exps[:k]) for exps in g.terms):
-            continue
-        kept.append(Polynomial(g.field, len(rest),
-                               {exps[k:]: c for exps, c in g.terms.items()}, _trusted=True))
+    strip = [None] * k + list(range(1, len(rest) + 1))
+    kept = [g.rename(len(rest), strip) for g in gb.polys
+            if not any(any(exps[:k]) for exps in g.terms)]
     return Ideal(ideal.field, len(rest), kept)
 
 
@@ -523,14 +512,10 @@ def ideal_quotient(ideal: Ideal, f: Polynomial,
         raise PolyError("quotient by the zero polynomial")
     n = ideal.nvars
     fld = ideal.field
-
-    def embed(p: Polynomial) -> Polynomial:
-        return Polynomial(fld, n + 1, {(0,) + e: c for e, c in p.terms.items()},
-                          _trusted=True)
-
+    shift = range(2, n + 2)
     t = Polynomial.variable(fld, n + 1, 1)
-    gens = [t * embed(g) for g in ideal.generators]
-    fe = embed(f)
+    gens = [t * g.rename(n + 1, shift) for g in ideal.generators]
+    fe = f.rename(n + 1, shift)
     gens.append(fe - t * fe)
     inter = elimination(Ideal(fld, n + 1, gens), [1], budget, cache)
     quotients = [poly_divide_exact(h, f) for h in inter.generators]
@@ -542,9 +527,10 @@ def radical_membership(p: Polynomial, ideal: Ideal,
     """True iff some power of p lies in the ideal: 1 in I + (1 - y p)."""
     n = ideal.nvars
     fld = ideal.field
-    gens = [g.extend_nvars(n + 1) for g in ideal.generators]
+    same = range(1, n + 1)
+    gens = [g.rename(n + 1, same) for g in ideal.generators]
     y = Polynomial.variable(fld, n + 1, n + 1)
-    gens.append(Polynomial.one(fld, n + 1) - y * p.extend_nvars(n + 1))
+    gens.append(Polynomial.one(fld, n + 1) - y * p.rename(n + 1, same))
     gb = buchberger(Ideal(fld, n + 1, gens), DEGREVLEX, budget, cache)
     return any(g.total_degree() == 0 for g in gb.polys)
 
@@ -569,12 +555,9 @@ def kernel_of_algebra_map(images: Sequence[Polynomial],
         raise PolyError("images must share one degree")
     s = len(images)
     big = n + s
-    gens = []
-    for i, g in enumerate(images, start=1):
-        t_i = Polynomial.variable(fld, big, n + i)
-        embedded = Polynomial(fld, big, {e + (0,) * s: c for e, c in g.terms.items()},
-                              _trusted=True)
-        gens.append(t_i - embedded)
+    same = range(1, n + 1)
+    gens = [Polynomial.variable(fld, big, n + i) - g.rename(big, same)
+            for i, g in enumerate(images, start=1)]
     return elimination(Ideal(fld, big, gens), list(range(1, n + 1)), budget, cache)
 
 

@@ -31,7 +31,7 @@ import struct
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 
 class PolyError(ValueError):
@@ -687,6 +687,37 @@ class Polynomial:
             total += term
         return total % p if p else fld.coerce(total)
 
+    def rename(self, nvars: int, targets: Sequence[int | None]) -> "Polynomial":
+        """The image in a ring with ``nvars`` variables under x_i -> x_t for
+        t = ``targets[i-1]`` (1-based), or x_i -> 0 where t is None.
+
+        Variables that share a target multiply there: exponents add, and
+        terms that land on one monomial sum.
+        """
+        if len(targets) != self.nvars:
+            raise ArityMismatchError(f"{len(targets)} targets for {self.nvars} variables")
+        if any(t is not None and not 1 <= t <= nvars for t in targets):
+            raise IndexRangeError(f"rename target outside 1..{nvars}")
+        p = self.field.characteristic
+        dead = [i for i, t in enumerate(targets) if t is None]
+        moves = [(i, t - 1) for i, t in enumerate(targets) if t is not None]
+        res: dict = {}
+        for exps, c in self.terms.items():
+            if any(exps[i] for i in dead):
+                continue
+            out = [0] * nvars
+            for i, j in moves:
+                out[j] += exps[i]
+            key = tuple(out)
+            old = res.get(key)
+            if old is None:
+                res[key] = c
+            elif s := (old + c) % p if p else old + c:
+                res[key] = s
+            else:
+                del res[key]
+        return Polynomial(self.field, nvars, res, _trusted=True)
+
     # -- order-dependent views -------------------------------------------------
 
     def initial_term(self, order: MonomialOrder = DEGREVLEX) -> tuple:
@@ -733,25 +764,6 @@ class Polynomial:
     def monic(self, order: MonomialOrder = DEGREVLEX) -> "Polynomial":
         _, lc = self.initial_term(order)
         return self.scale(self.field.inv(lc))
-
-    # -- arity changes ------------------------------------------------------------
-
-    def extend_nvars(self, nvars: int) -> "Polynomial":
-        if nvars < self.nvars:
-            raise ArityMismatchError("extend_nvars cannot shrink the ring")
-        pad = (0,) * (nvars - self.nvars)
-        return Polynomial(self.field, nvars,
-                          {e + pad: c for e, c in self.terms.items()}, _trusted=True)
-
-    def restrict_nvars(self, nvars: int) -> "Polynomial":
-        if nvars > self.nvars:
-            raise ArityMismatchError("restrict_nvars cannot grow the ring")
-        res = {}
-        for e, c in self.terms.items():
-            if any(e[nvars:]):
-                raise ArityMismatchError("polynomial uses a variable outside the smaller ring")
-            res[e[:nvars]] = c
-        return Polynomial(self.field, nvars, res, _trusted=True)
 
     # -- text -----------------------------------------------------------------------
 
@@ -836,110 +848,3 @@ def parse_polynomial(text: str, field, nvars: int) -> Polynomial:
             sign = -1 if s[pos] == "-" else 1
             pos += 1
     return Polynomial(field, nvars, terms, _trusted=True)
-
-
-class RingMap:
-    """A ring homomorphism fixed by the images of the source variables.
-
-    ``images[i]`` is the image of x_{i+1}; all images live in one target ring.
-    Applying the map is substitution, so it is automatically compatible with
-    the ring operations.
-    """
-
-    __slots__ = ("source_nvars", "images", "field", "target_nvars", "_simple")
-
-    def __init__(self, source_nvars: int, images: Sequence[Polynomial]):
-        if len(images) != source_nvars:
-            raise ArityMismatchError("one image per source variable is required")
-        if not images:
-            raise PolyError("empty ring map")
-        field = images[0].field
-        target = images[0].nvars
-        for img in images:
-            if img.field != field or img.nvars != target:
-                raise FieldMismatchError("images live in different rings")
-        self.source_nvars = source_nvars
-        self.images = tuple(images)
-        self.field = field
-        self.target_nvars = target
-        # x_i -> 0 or x_i -> c*monomial admits a fast exponent-rewrite path
-        simple = []
-        for img in images:
-            if img.is_zero():
-                simple.append((None, None))
-            elif len(img.terms) == 1:
-                (exps, c), = img.terms.items()
-                simple.append((exps, c))
-            else:
-                simple = None
-                break
-        self._simple = simple
-
-    @classmethod
-    def identity(cls, field, nvars: int) -> "RingMap":
-        return cls(nvars, [Polynomial.variable(field, nvars, i) for i in range(1, nvars + 1)])
-
-    @classmethod
-    def kill_variables(cls, field, nvars: int, dead: Iterable[int]) -> "RingMap":
-        """Send x_i to 0 for i in ``dead`` (1-based), fix the rest."""
-        dead = set(dead)
-        images = []
-        for i in range(1, nvars + 1):
-            if i in dead:
-                images.append(Polynomial.zero(field, nvars))
-            else:
-                images.append(Polynomial.variable(field, nvars, i))
-        return cls(nvars, images)
-
-    def apply(self, p: Polynomial) -> Polynomial:
-        if p.nvars != self.source_nvars:
-            raise ArityMismatchError(f"map has arity {self.source_nvars}, polynomial {p.nvars}")
-        if p.field != self.field:
-            raise FieldMismatchError("polynomial and map coefficients differ")
-        fld = self.field
-        mod = fld.characteristic
-        if self._simple is not None:
-            res: dict = {}
-            for exps, c in p.terms.items():
-                out = [0] * self.target_nvars
-                coeff = c
-                dead = False
-                for i, e in enumerate(exps):
-                    if not e:
-                        continue
-                    img_exps, img_c = self._simple[i]
-                    if img_exps is None:
-                        dead = True
-                        break
-                    for j, ee in enumerate(img_exps):
-                        if ee:
-                            out[j] += ee * e
-                    if img_c != 1:
-                        coeff = coeff * pow(img_c, e, mod) % mod if mod else coeff * img_c ** e
-                if dead:
-                    continue
-                key = tuple(out)
-                s = res.get(key, 0) + coeff
-                if mod:
-                    s %= mod
-                if s:
-                    res[key] = s
-                else:
-                    res.pop(key, None)
-            return Polynomial(fld, self.target_nvars, res, _trusted=True)
-        total = Polynomial.zero(fld, self.target_nvars)
-        powers: dict = {}
-        for exps, c in p.terms.items():
-            term = Polynomial.constant(fld, self.target_nvars, c)
-            for i, e in enumerate(exps):
-                if not e:
-                    continue
-                key = (i, e)
-                if key not in powers:
-                    powers[key] = self.images[i] ** e
-                term = term * powers[key]
-            total = total + term
-        return total
-
-    def __repr__(self):
-        return f"RingMap({self.source_nvars} -> {self.target_nvars} vars)"

@@ -11,6 +11,6 @@ def rng():
 @pytest.fixture(autouse=True)
 def _reports_to_tmp(tmp_path, monkeypatch):
     """``hankelkit`` writes reports under ``HANKEL_OUT_DIR`` (default
-    ``results/``) unless ``--out`` is given; keep test runs off the tracked
-    reports."""
+    ``reports/``) unless ``--out`` is given; keep test runs out of the
+    checkout."""
     monkeypatch.setenv("HANKEL_OUT_DIR", str(tmp_path / "results"))

@@ -21,7 +21,7 @@ from hankelkit import minorposet as mp
 from hankelkit.cli import main as cli_main
 from hankelkit.groebner import BudgetExceededError, Ideal
 from hankelkit.polyring import Polynomial, PrimeField, QQ
-from hankelkit.symmatrix import gruson_peskine_check, hankel_square
+from hankelkit.symmatrix import HankelSpec, gruson_peskine_check, hankel, hankel_square
 
 
 class Criterion:
@@ -75,6 +75,7 @@ def test_criterion_02_gradient_identity():
             for r in range(0, m - 1):
                 h = hankel_square(m, r)
                 f = h.determinant()
+                adj = h.adjugate()
                 n = h.nvars
                 euler = Polynomial.zero(QQ, n)
                 for k in range(1, n + 1):
@@ -83,7 +84,7 @@ def test_criterion_02_gradient_identity():
                     for i in range(1, m + 1):
                         j = k + 1 - i
                         if 1 <= j <= m:
-                            total = total + h.cofactor(i, j)
+                            total = total + adj.at(j, i)
                     assert total == fk, (m, r, k)
                     euler = euler + Polynomial.variable(QQ, n, k) * fk
                 assert euler == f.scale(m), (m, r)
@@ -142,6 +143,11 @@ def test_criterion_06_gruson_peskine_transfer():
                 for t in range(1, m + 1):
                     rep = gruson_peskine_check(m, t, 2 * m - 1, r)
                     assert rep.equal, (m, t, r)
+                    # the span route decides; Groebner mutual membership agrees
+                    big, small = (hankel(HankelSpec(s, 2 * m - s, r)) for s in (m, t))
+                    ideals = [Ideal(QQ, big.nvars, [mn.value for mn in h.minors(t)])
+                              for h in (big, small)]
+                    assert gb.ideal_equal(*ideals) == rep.equal, (m, t, r)
 
 
 def test_criterion_07_poset_suite():

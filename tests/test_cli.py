@@ -106,6 +106,31 @@ def test_theta_check_rejects_a_prime_dividing_its_scalar():
     assert code == 0 and report_of(out)["result"]["witness"]["scalar"] == "2"
 
 
+def test_reduction_check_rejects_a_prime_that_drops_span_dimensions():
+    # over QQ the steps at m = 3 have (product, power) dims (5, 6), (20, 20);
+    # GF(2) gets (3, 6) at n = 0 and GF(3) gets (19, 20) at n = 1
+    for field in ("f2", "f3"):
+        code, out = run_cli(["reduction-check", "--m", "3", "--field", field])
+        assert code == 3 and not out, field
+    for field in ("f5", "f7"):
+        code, out = run_cli(["reduction-check", "--m", "3", "--field", field])
+        assert code == 0, field
+        steps = report_of(out)["result"]["witness"]["steps"]
+        assert [(s["dim_product"], s["dim_power"]) for s in steps] == [(5, 6), (20, 20)]
+
+
+def test_default_out_dir_is_reports(tmp_path, monkeypatch):
+    # the tracked golden reports live under results/; a run with neither
+    # --out nor HANKEL_OUT_DIR must not add to them
+    monkeypatch.delenv("HANKEL_OUT_DIR")
+    monkeypatch.chdir(tmp_path)
+    code, _ = run_cli(["det", "--m", "3", "--r", "1"])
+    assert code == 0
+    files = list((tmp_path / "reports").rglob("*.json"))
+    assert len(files) == 1 and files[0].parent.name == "det"
+    assert not (tmp_path / "results").exists()
+
+
 def test_gradient_command_checks_once(monkeypatch):
     from hankelkit import gradient
 

@@ -11,11 +11,11 @@ from hankelkit.polyring import (
     ArityMismatchError,
     DEGREVLEX,
     FieldMismatchError,
+    IndexRangeError,
     LEX,
     Polynomial,
     PrimeField,
     QQ,
-    RingMap,
     ZeroPolynomialError,
     _degrevlex_lead,
     parse_polynomial,
@@ -145,13 +145,31 @@ def test_derivative_trivials():
         p.derivative(9)
 
 
-def test_apply_map_kill_variable():
+def test_rename_kill_variable():
     f = poly(DET_H3)
-    phi = RingMap.kill_variables(QQ, 5, [5])
-    image = phi.apply(f)
+    kill5 = [1, 2, 3, 4, None]
+    image = f.rename(5, kill5)
     assert image == poly({(1, 0, 0, 2, 0): -1, (0, 1, 1, 1, 0): 2, (0, 0, 3, 0, 0): -1})
-    assert RingMap.identity(QQ, 5).apply(f) == f
-    assert phi.apply(x(2) * x(2) * x(5)).is_zero()
+    assert f.rename(5, range(1, 6)) == f
+    assert (x(2) * x(2) * x(5)).rename(5, kill5).is_zero()
+
+
+def test_rename_collisions_sum_and_multiply():
+    f = x(1, 3) * x(2, 3) + x(2, 3) * x(2, 3)
+    assert f.rename(2, [2, 2, 1]) == (x(2, 2) ** 2).scale(2)
+    f7 = PrimeField(7)
+    g = x(1, 2, f7).scale(3) + x(2, 2, f7).scale(4)
+    assert g.rename(1, [1, 1]).is_zero()
+
+
+def test_rename_typed_errors():
+    f = x(1) * x(5)
+    with pytest.raises(ArityMismatchError):
+        f.rename(5, [1, 2, 3, 4])
+    with pytest.raises(IndexRangeError):
+        f.rename(4, [1, 2, 3, 4, 5])
+    with pytest.raises(IndexRangeError):
+        f.rename(5, [0, 2, 3, 4, 5])
 
 
 def test_initial_term_convention_frozen():
@@ -257,18 +275,6 @@ def test_leibniz_rule(p, q, i):
 
 
 @settings(max_examples=40, deadline=None)
-@given(polys, polys)
-def test_ring_map_is_multiplicative(p, q):
-    images = [Polynomial.variable(QQ, NVARS, 1) + Polynomial.constant(QQ, NVARS, 1),
-              Polynomial.zero(QQ, NVARS),
-              Polynomial.variable(QQ, NVARS, 2) * Polynomial.variable(QQ, NVARS, 2),
-              Polynomial.constant(QQ, NVARS, -2)]
-    phi = RingMap(NVARS, images)
-    assert phi.apply(p * q) == phi.apply(p) * phi.apply(q)
-    assert phi.apply(p + q) == phi.apply(p) + phi.apply(q)
-
-
-@settings(max_examples=40, deadline=None)
 @given(polys, polys, st.lists(st.integers(min_value=-4, max_value=4),
                               min_size=NVARS, max_size=NVARS))
 def test_evaluate_commutes_with_arithmetic(p, q, point):
@@ -356,3 +362,31 @@ def test_evaluate_at_int_and_fraction_points(terms, point):
             term *= Fraction(v) ** k
         expect += term
     assert p.evaluate(point) == p.evaluate([Fraction(v) for v in point]) == expect
+
+
+# four sources into three targets: any two non-None targets may collide
+rename_targets = st.lists(st.one_of(st.none(), st.integers(min_value=1, max_value=3)),
+                          min_size=NVARS, max_size=NVARS)
+
+
+@pytest.mark.parametrize("case", ["QQ-integral", "F3", "F32003"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_rename_is_a_ring_map(case, data):
+    field, coeffs_of = FIELD_CASES[case]
+    terms = st.dictionaries(exps3, coeffs_of, max_size=5)
+    p = Polynomial(field, NVARS, data.draw(terms))
+    q = Polynomial(field, NVARS, data.draw(terms))
+    targets = data.draw(rename_targets)
+    assert (p * q).rename(3, targets) == p.rename(3, targets) * q.rename(3, targets)
+    assert (p + q).rename(3, targets) == p.rename(3, targets) + q.rename(3, targets)
+
+
+@settings(max_examples=40, deadline=None)
+@given(polys, rename_targets,
+       st.lists(st.integers(min_value=-4, max_value=4), min_size=3, max_size=3))
+def test_rename_commutes_with_evaluate(p, targets, point):
+    # evaluating the image at a point is evaluating p where x_i takes the
+    # coordinate of its target, or 0
+    pulled = [0 if t is None else point[t - 1] for t in targets]
+    assert p.rename(3, targets).evaluate(point) == p.evaluate(pulled)
