@@ -4,14 +4,19 @@ An entry lives at ``<dir>/gb/<sha256>.txt`` as one JSON object: the format,
 engine version, field, variable count and order, and a ``basis`` that lists
 each element's kernel terms (see ``groebner``) as ``[packed key, integer
 coefficient]`` pairs, integer-primitive with a positive lead over QQ and
-monic over GF(p).  A hit builds the basis and its kernel entries straight
-from those terms, with no text to parse and no monomial to re-encode.
+monic over GF(p), and last a ``digest``: the sha256 of the entry key and
+every byte before that member.  A hit builds the basis and its kernel
+entries straight from those terms, with no text to parse and no monomial to
+re-encode.
 
 The key hashes the entry format, the engine version, a digest of the engine
 sources (``cache.py``, ``groebner.py`` and ``polyring.py``), field, order,
 variable count and each generator's sorted kernel terms, so any change to
 the inputs, the engine or the entry layout misses cleanly.  Every hit is
-checked before it is served: keys must be valid packed monomials (no guard
+checked before it is served: the digest must match the bytes as read (this
+catches accidental damage, such as a dropped element that no generator
+needs, but not deliberate tampering, since whoever writes an entry can
+recompute its digest), keys must be valid packed monomials (no guard
 bit in the key or its exponents), coefficients nonzero ints (residues in
 ``[1, p)`` over GF(p)) with the lead normalized as above, leads strictly
 increasing with none dividing another, and every generator must reduce to
@@ -37,8 +42,24 @@ from .groebner import DEFAULT_BUDGET, _reduce_full, kernel_basis, verify_basis
 from .polyring import (_FIELD_BITS, field_from_descriptor, order_from_descriptor, packing,
                        _to_kernel)
 
-_FORMAT = "hankelkit-gb-2"
+_FORMAT = "hankelkit-gb-3"
 _ENGINE_SOURCES = ("cache.py", "groebner.py", "polyring.py")
+_TAIL_BYTES = len(',"digest":""}\n') + 64
+
+
+def _digest_tail(key: str, body: bytes) -> bytes:
+    """The closing bytes of an entry whose other bytes are ``body``: a
+    ``digest`` member holding the sha256 of the entry key and ``body``."""
+    h = hashlib.sha256(key.encode())
+    h.update(body)
+    return f',"digest":"{h.hexdigest()}"}}\n'.encode()
+
+
+def _entry_bytes(key: str, data: dict) -> bytes:
+    """``data`` as the compact JSON object of entry ``key``, closed by its
+    ``digest`` member."""
+    body = json.dumps(data, separators=(",", ":"))[:-1].encode()
+    return body + _digest_tail(key, body)
 
 
 @lru_cache(maxsize=None)
@@ -149,28 +170,33 @@ class GroebnerCache:
 
     def put(self, ideal, order, gb) -> None:
         path = self._locate(ideal, order)[0]
-        data = json.dumps({
+        data = _entry_bytes(path.stem, {
             "format": _FORMAT,
             "engine": self.engine_version,
             "field": ideal.field.descriptor(),
             "nvars": ideal.nvars,
             "order": order.descriptor(),
             "basis": [[[lead, lc], *tail] for lead, _, lc, tail, _ in gb.kernel_entries()],
-        }, separators=(",", ":"))
+        })
         fd, tmp = tempfile.mkstemp(dir=self.directory / "gb", suffix=".tmp")
         try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(data + "\n")
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(data)
             os.replace(tmp, path)
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
 
     def _load(self, path: Path, fld) -> dict:
-        """The entry at ``path`` as a dict; ValueError unless it is a JSON
-        object of this format for the field ``fld``."""
+        """The entry at ``path`` as a dict; ValueError unless its digest
+        matches and it is a JSON object of this format for the field
+        ``fld``."""
         with open(path, "rb") as fh:
-            data = json.load(fh)
+            raw = fh.read()
+        body = raw[:-_TAIL_BYTES]
+        if raw[-_TAIL_BYTES:] != _digest_tail(path.stem, body):
+            raise ValueError("digest mismatch")
+        data = json.loads(raw)
         if not isinstance(data, dict) or data.get("format") != _FORMAT:
             raise ValueError(f"not a {_FORMAT} entry")
         if data.get("field") != fld.descriptor():

@@ -114,9 +114,21 @@ class LevelDecomposition:
         }
 
 
+def _level_coefficients(minors: dict, fk: Polynomial, m: int, k: int, field) -> dict:
+    """Exact c_B with f_k = sum c_B [B] over the level-(2m-k) brackets,
+    solved on monomial coefficients."""
+    level = 2 * m - k
+    members = [b for b in brackets(m) if bracket_level(b, m) == level]
+    sol = solve_consistent(coefficient_rows([minors[b] for b in members] + [fk]),
+                           len(members), field)
+    if sol is None:
+        raise LevelDecompositionError(
+            f"f_{k} is not a combination of the level-{level} brackets")
+    return dict(zip(members, sol))
+
+
 def derivative_level_decomposition(m: int, field=QQ) -> LevelDecomposition:
-    """Exact coefficients c_B with f_k = sum c_B [B] over the level-(2m-k)
-    brackets, solved on monomial coefficients; the solved expansion is
+    """The level coefficients of every f_k; the solved expansion is
     re-checked symbolically."""
     if m < 2:
         raise IndexRangeError("decomposition needs m >= 2")
@@ -127,14 +139,7 @@ def derivative_level_decomposition(m: int, field=QQ) -> LevelDecomposition:
     ok = True
     for k in range(1, n + 1):
         fk = f.derivative(k)
-        level = 2 * m - k
-        members = [b for b in brackets(m) if bracket_level(b, m) == level]
-        rows = coefficient_rows([minors[b] for b in members] + [fk])
-        sol = solve_consistent(rows, len(members), field)
-        if sol is None:
-            raise LevelDecompositionError(
-                f"f_{k} is not a combination of the level-{level} brackets")
-        coefficients[k] = {b: c for b, c in zip(members, sol)}
+        coefficients[k] = _level_coefficients(minors, fk, m, k, field)
         total = Polynomial.zero(field, n)
         for b, c in coefficients[k].items():
             total = total + minors[b].scale(c)
@@ -149,9 +154,9 @@ class BracketRelation:
 
     terms: tuple                # ((coeff, bracketA, bracketB), ...)
 
-    def substitute(self, minors: dict, field=QQ) -> Polynomial:
+    def substitute(self, minors: dict) -> Polynomial:
         sample = next(iter(minors.values()))
-        total = Polynomial.zero(field, sample.nvars)
+        total = Polynomial.zero(sample.field, sample.nvars)
         for coeff, a, b in self.terms:
             total = total + (minors[a] * minors[b]).scale(coeff)
         return total
@@ -171,42 +176,26 @@ def _complement_bracket(pair: tuple, m: int) -> Bracket:
     return tuple(i for i in range(1, m + 2) if i not in pair)
 
 
-def pluecker_relations(m: int, field=QQ) -> list:
-    """All three-term relations: one per 4-subset of the columns, with the
-    signs solved against the generic minors.  Each relation's terms pair
-    brackets sharing m-3 indices."""
+def pluecker_relations(m: int) -> list:
+    """All three-term relations, one per 4-subset a < b < c < d of the
+    columns: with S the other m-3 columns,
+    [Sab][Scd] - [Sac][Sbd] + [Sad][Sbc] = 0 (Grassmann-Pluecker).  Sorting
+    a bracket's columns moves a, b, c and d past the same members of S in
+    every product, so these signs hold for every m."""
     if m < 3:
         raise IndexRangeError("relations need m >= 3")
-    generic = generic_bracket_minors(m, field)
     relations = []
-    for quad in combinations(range(1, m + 2), 4):
-        a, b, c, d = quad
-        pairs = [((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c))]
-        products = []
-        for p, q in pairs:
-            ba, bb = _complement_bracket(p, m), _complement_bracket(q, m)
-            products.append((ba, bb, generic[ba] * generic[bb]))
-        solution = None
-        for s2 in (1, -1):
-            for s3 in (1, -1):
-                total = products[0][2] + products[1][2].scale(s2) + products[2][2].scale(s3)
-                if total.is_zero():
-                    solution = (1, s2, s3)
-                    break
-            if solution:
-                break
-        if solution is None:
-            raise AssertionError(f"no sign choice kills the relation for columns {quad}")
+    for a, b, c, d in combinations(range(1, m + 2), 4):
+        pairs = (((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c)))
         relations.append(BracketRelation(tuple(
-            (Fraction(s), ba, bb)
-            for s, (ba, bb, _) in zip(solution, products))))
+            (Fraction(s), _complement_bracket(p, m), _complement_bracket(q, m))
+            for s, (p, q) in zip((1, -1, 1), pairs))))
     return relations
 
 
 def pluecker_relations_vanish_on_degeneration(m: int, r: int, field=QQ) -> bool:
     minors = hankel_bracket_minors(m, r, field)
-    return all(rel.substitute(minors, field).is_zero()
-               for rel in pluecker_relations(m, field))
+    return all(rel.substitute(minors).is_zero() for rel in pluecker_relations(m))
 
 
 @dataclass
@@ -261,8 +250,7 @@ def pluecker_step_identities(m: int, field=QQ) -> StepIdentityReport:
     f3 = f.derivative(2 * m - 3)
     f2 = f.derivative(2 * m - 2)
     f1 = f.derivative(2 * m - 1)
-    decomp = derivative_level_decomposition(m, field)
-    row = decomp.coefficients[2 * m - 3]
+    row = _level_coefficients(minors, f3, m, 2 * m - 3, field)
     lam = row[delta]
     mu = row[delta_p]
     bracket_a = prefix + (m - 1, m + 1)

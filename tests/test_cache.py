@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hankelkit import ENGINE_VERSION
-from hankelkit.cache import GroebnerCache
+from hankelkit.cache import GroebnerCache, _entry_bytes
 from hankelkit.groebner import GroebnerBasis, Ideal, buchberger
 from hankelkit.polyring import (DEGREVLEX, LEX, BlockOrder, Polynomial, PrimeField, QQ,
                                 _to_kernel, packing)
@@ -60,6 +60,17 @@ def drop_element(data, ideal):
     del data["basis"][generator_index(data, ideal)]
 
 
+def drop_unneeded_element(data, ideal):
+    """Accidental damage: drop x2^2*x4, the one stored element that is no
+    generator, and keep the old digest.  Every generator still reduces to
+    zero against the rest, so only the digest can tell."""
+    pk = packing(DEGREVLEX, ideal.nvars)
+    gens = [_to_kernel(g, pk)[0] for g in ideal.generators]
+    unneeded, = [i for i, pairs in enumerate(data["basis"]) if dict(pairs) not in gens]
+    del data["basis"][unneeded]
+    return json.dumps(data, separators=(",", ":")) + "\n"
+
+
 def flip_coefficient(data, ideal):
     pairs = data["basis"][generator_index(data, ideal)]
     pairs[1][1] = -pairs[1][1]
@@ -85,6 +96,7 @@ def format_1_text(data, ideal):
 
 @pytest.mark.parametrize("field,tamper", [
     (QQ, drop_element),
+    (QQ, drop_unneeded_element),
     (QQ, flip_coefficient),
     (QQ, set_guard_bit),
     (QQ, format_1_text),
@@ -98,11 +110,18 @@ def test_tampered_entry_is_evicted_and_recomputed(tmp_path, field, tamper):
     entry, = cache.entries()
     data = json.loads(entry.read_text())
     text = tamper(data, ideal)
-    entry.write_text(text if text is not None else json.dumps(data))
+    if text is None:
+        # re-signed, the damage passes the digest and meets the later checks
+        del data["digest"]
+        entry.write_bytes(_entry_bytes(entry.stem, data))
+    else:
+        entry.write_text(text)
     served = buchberger(ideal, cache=cache)
     assert [p.to_string() for p in served.polys] == expected
     assert not served.stats["from_cache"]
     assert cache.hits == 0 and cache.misses == 2
-    assert [name for name, _ in cache.evictions] == [entry.name]
+    [(name, reason)] = cache.evictions
+    assert name == entry.name
+    assert ("digest mismatch" in reason) == (text is not None)
     # the recomputed basis replaced the evicted entry
     assert buchberger(ideal, cache=cache).stats["from_cache"] and cache.hits == 1

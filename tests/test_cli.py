@@ -8,7 +8,7 @@ import shlex
 from pathlib import Path
 
 from hankelkit import cli
-from hankelkit.cache import _FORMAT
+from hankelkit.cache import _FORMAT, _entry_bytes
 from hankelkit.cli import main, sweep_cells
 from hankelkit.polyring import DEGREVLEX, packing
 
@@ -117,6 +117,16 @@ def test_reduction_check_rejects_a_prime_that_drops_span_dimensions():
         assert code == 0, field
         steps = report_of(out)["result"]["witness"]["steps"]
         assert [(s["dim_product"], s["dim_power"]) for s in steps] == [(5, 6), (20, 20)]
+    # at r = 1 every field passes, but GF(2) gets (2, 6) and GF(3) gets
+    # (16, 19) at n = 1: a pass whose witness is not QQ's is refused too
+    for field in ("f2", "f3"):
+        code, out = run_cli(["reduction-check", "--m", "3", "--r", "1", "--field", field])
+        assert code == 3 and not out, field
+    code, out = run_cli(["reduction-check", "--m", "3", "--r", "1", "--field", "f5"])
+    assert code == 0
+    steps = report_of(out)["result"]["witness"]["steps"]
+    assert [(s["dim_product"], s["dim_power"]) for s in steps] == [
+        (4, 6), (17, 19), (42, 44), (83, 85)]
 
 
 def test_default_out_dir_is_reports(tmp_path, monkeypatch):
@@ -211,9 +221,9 @@ def test_cache_verify_evicts_corruption(tmp_path):
     entries = sorted(Path(cache_dir, "gb").glob("*.txt"))
     assert entries
     # corrupt one basis: a well-formed entry whose reducible pair x1, x1*x2
-    # cannot be a reduced basis
+    # cannot be a reduced basis, under a digest that matches
     pk = packing(DEGREVLEX, 2)
-    entries[0].write_text(json.dumps({
+    entries[0].write_bytes(_entry_bytes(entries[0].stem, {
         "format": _FORMAT, "engine": "x", "field": "QQ", "nvars": 2,
         "order": "degrevlex",
         "basis": [[[pk.encode((1, 0)), 1]], [[pk.encode((1, 1)), 1]]]}))

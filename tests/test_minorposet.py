@@ -2,6 +2,7 @@
 step identities, and the fiber-kernel comparisons."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -100,6 +101,48 @@ def test_pluecker_relations_vanish(m):
         assert len(rel.terms) == 3
         for _, a, b in rel.terms:
             assert len(set(a) & set(b)) >= m - 3
+
+
+def _integer_det(matrix: list) -> int:
+    """Exact determinant of a square integer matrix by Bareiss elimination."""
+    a = [list(row) for row in matrix]
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1]
+
+
+def test_integer_det_matches_laplace():
+    assert _integer_det([[0, 2, 1], [3, 0, 4], [5, 6, 0]]) == 0 - 2 * (0 - 20) + (18 - 0)
+    assert _integer_det([[1, 2], [2, 4]]) == 0
+
+
+@pytest.mark.parametrize("m", range(3, 9))
+def test_pluecker_relations_vanish_at_random_integer_points(m):
+    # the closed-form signs, checked past the symbolic range m <= 5: at random
+    # integer (m-1) x (m+1) matrices, generic and Hankel
+    rng = random.Random(m)
+    rels = mp.pluecker_relations(m)
+    for _ in range(3):
+        generic = [[rng.randint(-9, 9) for _ in range(m + 1)] for _ in range(m - 1)]
+        x = [rng.randint(-9, 9) for _ in range(2 * m - 1)]
+        hank = [[x[u + v] for v in range(m + 1)] for u in range(m - 1)]
+        for matrix in (generic, hank):
+            minors = {b: _integer_det([[row[c - 1] for c in b] for row in matrix])
+                      for b in mp.brackets(m)}
+            assert any(minors.values())
+            for rel in rels:
+                assert sum(c * minors[a] * minors[b] for c, a, b in rel.terms) == 0, rel
 
 
 @pytest.mark.parametrize("m,r", [(3, 1), (4, 1), (4, 2)])
