@@ -5,14 +5,14 @@ engine version, field, variable count and order, and a ``basis`` that lists
 each element's kernel terms (see ``groebner``) as ``[packed key, integer
 coefficient]`` pairs, integer-primitive with a positive lead over QQ and
 monic over GF(p), and last a ``digest``: the sha256 of the entry key and
-every byte before that member.  A hit builds the basis and its kernel
-entries straight from those terms, with no text to parse and no monomial to
-re-encode.
+every byte before that member.  A hit builds the basis's kernel entries
+straight from those terms, with no text to parse and no monomial to encode.
 
 The key hashes the entry format, the engine version, a digest of the engine
 sources (``cache.py``, ``groebner.py`` and ``polyring.py``), field, order,
-variable count and each generator's sorted kernel terms, so any change to
-the inputs, the engine or the entry layout misses cleanly.  Every hit is
+variable count and each generator's sorted kernel terms, which the caller
+encodes once and hands to both ``get`` and ``put``, so any change to the
+inputs, the engine or the entry layout misses cleanly.  Every hit is
 checked before it is served: the digest must match the bytes as read (this
 catches accidental damage, such as a dropped element that no generator
 needs, but not deliberate tampering, since whoever writes an entry can
@@ -39,8 +39,7 @@ from math import gcd
 from pathlib import Path
 
 from .groebner import DEFAULT_BUDGET, _reduce_full, kernel_basis, verify_basis
-from .polyring import (_FIELD_BITS, field_from_descriptor, order_from_descriptor, packing,
-                       _to_kernel)
+from .polyring import _FIELD_BITS, field_from_descriptor, order_from_descriptor, packing
 
 _FORMAT = "hankelkit-gb-3"
 _ENGINE_SOURCES = ("cache.py", "groebner.py", "polyring.py")
@@ -140,17 +139,15 @@ class GroebnerCache:
         self.directory = Path(self.directory)
         (self.directory / "gb").mkdir(parents=True, exist_ok=True)
 
-    def _locate(self, ideal, order) -> tuple:
-        """(entry path, packing, kernel terms of the generators) of ``ideal``
-        under ``order``."""
-        pk = packing(order, ideal.nvars)
-        generators = [_to_kernel(g, pk)[0] for g in ideal.generators]
+    def _path(self, ideal, order, generators: list) -> Path:
+        """The entry path of ``ideal`` under ``order``, given the kernel terms
+        of its generators in that order's packing."""
         key = cache_key(self.engine_version, ideal, order, generators)
-        return self.directory / "gb" / f"{key}.txt", pk, generators
+        return self.directory / "gb" / f"{key}.txt"
 
-    def get(self, ideal, order):
+    def get(self, ideal, order, generators: list):
         fld = ideal.field
-        path, pk, generators = self._locate(ideal, order)
+        path = self._path(ideal, order, generators)
         if not path.exists():
             self.misses += 1
             return None
@@ -158,9 +155,10 @@ class GroebnerCache:
             data = self._load(path, fld)
             if (data["nvars"], data["order"]) != (ideal.nvars, order.descriptor()):
                 raise ValueError("metadata mismatch")
+            pk = packing(order, ideal.nvars)
             elements = _elements(data["basis"], pk, fld.characteristic)
             gb = kernel_basis(fld, ideal.nvars, order, elements, {"from_cache": True})
-            _check(gb.kernel_entries(), generators, pk, fld.characteristic)
+            _check(gb.entries, generators, pk, fld.characteristic)
         except Exception as exc:
             self._evict(path, f"rejected: {exc}")
             self.misses += 1
@@ -168,15 +166,15 @@ class GroebnerCache:
         self.hits += 1
         return gb
 
-    def put(self, ideal, order, gb) -> None:
-        path = self._locate(ideal, order)[0]
+    def put(self, ideal, order, generators: list, gb) -> None:
+        path = self._path(ideal, order, generators)
         data = _entry_bytes(path.stem, {
             "format": _FORMAT,
             "engine": self.engine_version,
             "field": ideal.field.descriptor(),
             "nvars": ideal.nvars,
             "order": order.descriptor(),
-            "basis": [[[lead, lc], *tail] for lead, _, lc, tail, _ in gb.kernel_entries()],
+            "basis": [[[lead, lc], *tail] for lead, _, lc, tail, _ in gb.entries],
         })
         fd, tmp = tempfile.mkstemp(dir=self.directory / "gb", suffix=".tmp")
         try:

@@ -14,8 +14,9 @@ fixed-width fields.  Plain int comparison is then the order, a product is
 determinants on it.  Buchberger takes pairs by lcm degree and prunes them
 with the Gebauer-Moeller update.  One division loop, ``_reduce_full``,
 serves the basis computation, normal forms, membership, ideal equality and
-basis verification; polynomials are converted only when generators come in
-and reduced bases go out.
+basis verification.  A ``GroebnerBasis`` holds only kernel entries:
+generators are encoded once when they come in, and a basis is decoded to
+polynomials only when a caller reads its ``polys``.
 
 Over QQ every intermediate polynomial is kept integer and primitive; leading
 coefficients are only normalized in the final reduced basis.  Budgets make
@@ -28,6 +29,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from operator import itemgetter
 from typing import Optional, Sequence
@@ -109,28 +111,27 @@ class Ideal:
 
 @dataclass
 class GroebnerBasis:
+    """A reduced basis as its kernel entries (see ``_entry``) in increasing
+    lead order; ``polys`` decodes them on first read."""
+
     field: object
     nvars: int
     order: MonomialOrder
-    polys: tuple
+    entries: list
     stats: dict = dc_field(default_factory=dict)
-    _entries: Optional[list] = dc_field(default=None, init=False, repr=False, compare=False)
 
-    def kernel_entries(self) -> list:
-        """The basis as kernel entries (see ``_entry``): preset by
-        ``kernel_basis``, else built from ``polys`` on first use."""
-        if self._entries is None:
-            pk = packing(self.order, self.nvars)
-            mod = self.field.characteristic
-            self._entries = [_entry(_to_kernel(g, pk)[0], pk, mod) for g in self.polys]
-        return self._entries
+    @cached_property
+    def polys(self) -> tuple:
+        pk = packing(self.order, self.nvars)
+        return tuple(_from_kernel({lead: lc, **dict(tail)}, pk, self.field, self.nvars)
+                     for lead, _, lc, tail, _ in self.entries)
 
     def leading_monomials(self) -> list:
         decode = packing(self.order, self.nvars).decode
-        return [decode(e[0]) for e in self.kernel_entries()]
+        return [decode(e[0]) for e in self.entries]
 
     def __len__(self):
-        return len(self.polys)
+        return len(self.entries)
 
 
 # ---------------------------------------------------------------------------
@@ -166,14 +167,11 @@ def _entry(terms: dict, pk: MonomialPacking, p: int) -> tuple:
 def kernel_basis(field, nvars: int, order: MonomialOrder, elements: list,
                  stats: dict) -> GroebnerBasis:
     """The basis whose elements have the kernel terms ``elements`` (a dict
-    each, integer-primitive with a positive lead over QQ, monic over GF(p)),
-    with its kernel entries built from them rather than re-encoded."""
+    each, integer-primitive with a positive lead over QQ, monic over GF(p),
+    in increasing lead order)."""
     pk = packing(order, nvars)
     p = field.characteristic
-    gb = GroebnerBasis(field, nvars, order,
-                       tuple(_from_kernel(t, pk, field, nvars) for t in elements), stats)
-    gb._entries = [_entry(t, pk, p) for t in elements]
-    return gb
+    return GroebnerBasis(field, nvars, order, [_entry(t, pk, p) for t in elements], stats)
 
 
 def _reduce_full(work: dict, reducers: list, pk: MonomialPacking, p: int,
@@ -308,12 +306,13 @@ def buchberger(ideal: Ideal, order: MonomialOrder = DEGREVLEX,
     and cacheable.
     """
     budget = budget or DEFAULT_BUDGET
-    if cache is not None:
-        hit = cache.get(ideal, order)
-        if hit is not None:
-            return hit
     p = ideal.field.characteristic
     pk = packing(order, ideal.nvars)
+    generators = [_to_kernel(g, pk)[0] for g in ideal.generators]
+    if cache is not None:
+        hit = cache.get(ideal, order, generators)
+        if hit is not None:
+            return hit
     guard = pk.guard
     entries: list = []      # the basis so far; pairs refer to indices
     pending: dict = {}      # live pairs: (i, j) -> (exps, key) of the lcm of their leads
@@ -359,8 +358,8 @@ def buchberger(ideal: Ideal, order: MonomialOrder = DEGREVLEX,
             heapq.heappush(heap, (pk.degree(key), g, h))
         stats["pairs_pushed"] += len(fresh)
 
-    for g in ideal.generators:
-        add(_entry(_to_kernel(g, pk)[0], pk, p))
+    for terms in generators:
+        add(_entry(terms, pk, p))
     term_total = sum(1 + len(e[3]) for e in entries)
     while heap:
         _, i, j = heapq.heappop(heap)
@@ -397,7 +396,7 @@ def buchberger(ideal: Ideal, order: MonomialOrder = DEGREVLEX,
     stats.update(basis_size=len(reduced), from_cache=False)
     gb = kernel_basis(ideal.field, ideal.nvars, order, reduced, stats)
     if cache is not None:
-        cache.put(ideal, order, gb)
+        cache.put(ideal, order, generators, gb)
     return gb
 
 
@@ -409,7 +408,7 @@ def normal_form(p: Polynomial, gb: GroebnerBasis,
         raise PolyError("polynomial outside the basis ring")
     pk = packing(gb.order, gb.nvars)
     terms, scale = _to_kernel(p, pk)
-    rem, rem_scale = _reduce_full(terms, gb.kernel_entries(), pk, gb.field.characteristic,
+    rem, rem_scale = _reduce_full(terms, gb.entries, pk, gb.field.characteristic,
                                   (budget or DEFAULT_BUDGET).max_terms)
     return _from_kernel(rem, pk, p.field, p.nvars, scale * rem_scale)
 
@@ -422,7 +421,7 @@ def reduces_to_zero(p: Polynomial, gb: GroebnerBasis,
         raise PolyError("polynomial outside the basis ring")
     pk = packing(gb.order, gb.nvars)
     terms = _to_kernel(p, pk)[0]
-    return not _reduce_full(terms, gb.kernel_entries(), pk, gb.field.characteristic,
+    return not _reduce_full(terms, gb.entries, pk, gb.field.characteristic,
                             (budget or DEFAULT_BUDGET).max_terms)[0]
 
 
@@ -450,7 +449,7 @@ def dimension(ideal: Ideal, order: MonomialOrder = DEGREVLEX,
     """Krull dimension of R/I, combinatorially from the initial ideal: the
     largest variable subset S such that no leading-term support is inside S."""
     gb = buchberger(ideal, order, budget, cache)
-    if any(p.total_degree() == 0 for p in gb.polys):
+    if gb.entries and gb.entries[0][0] == 0:    # the least key, 0, is the monomial 1
         return -1
     supports = sorted({frozenset(i for i, e in enumerate(lm) if e)
                        for lm in gb.leading_monomials()}, key=lambda s: (len(s), sorted(s)))
@@ -532,7 +531,7 @@ def radical_membership(p: Polynomial, ideal: Ideal,
     y = Polynomial.variable(fld, n + 1, n + 1)
     gens.append(Polynomial.one(fld, n + 1) - y * p.rename(n + 1, same))
     gb = buchberger(Ideal(fld, n + 1, gens), DEGREVLEX, budget, cache)
-    return any(g.total_degree() == 0 for g in gb.polys)
+    return bool(gb.entries) and gb.entries[0][0] == 0     # the key of the monomial 1
 
 
 def kernel_of_algebra_map(images: Sequence[Polynomial],
@@ -650,10 +649,6 @@ def reduction_check(J: Ideal, I: Ideal, nmax: int,
     dI = next(iter(I.degrees()))
     if dJ != dI:
         raise PolyError("J and I must share their generation degree")
-    gb_i = buchberger(I, DEGREVLEX, budget, cache)
-    contained = all(reduces_to_zero(g, gb_i, budget) for g in J.generators)
-    if not contained:
-        return ReductionReport(False, None, [], "span")
     fld = I.field
 
     def span_of(polys):
@@ -661,6 +656,12 @@ def reduction_check(J: Ideal, I: Ideal, nmax: int,
         for q in polys:
             span.insert(q.terms)
         return span
+
+    # I_d is the span of I's generators, so J lies in I iff each of its
+    # degree-d generators lies in that span
+    span_i = span_of(I.generators)
+    if not all(span_i.contains(g.terms) for g in J.generators):
+        return ReductionReport(False, None, [], "span")
 
     def basis_polys(span):
         return [Polynomial(fld, I.nvars, row) for row in span.basis_rows()]
@@ -702,7 +703,7 @@ def verify_basis(gb: GroebnerBasis, budget: Optional[GBBudget] = None) -> bool:
     mod = gb.field.characteristic
     pk = packing(gb.order, gb.nvars)
     guard = pk.guard
-    entries = gb.kernel_entries()
+    entries = gb.entries
     for i in range(len(entries)):
         for j in range(i + 1, len(entries)):
             e = _lcm(guard - entries[i][1], guard - entries[j][1], guard)

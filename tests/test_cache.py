@@ -1,16 +1,18 @@
 """The disk cache's entry layout: a put/get round trip gives back the basis
-byte for byte with its kernel entries, and an entry that is tampered with or
-written in another layout is evicted at ``get`` and recomputed, never served."""
+byte for byte with its kernel entries, a miss and its put encode each
+generator once, and an entry that is tampered with or written in another
+layout is evicted at ``get`` and recomputed, never served."""
 
 import json
+import sys
 import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hankelkit import ENGINE_VERSION
+from hankelkit import ENGINE_VERSION, polyring
 from hankelkit.cache import GroebnerCache, _entry_bytes
-from hankelkit.groebner import GroebnerBasis, Ideal, buchberger
+from hankelkit.groebner import Ideal, _entry, buchberger
 from hankelkit.polyring import (DEGREVLEX, LEX, BlockOrder, Polynomial, PrimeField, QQ,
                                 _to_kernel, packing)
 from hankelkit.symmatrix import hankel_square
@@ -37,14 +39,37 @@ def test_round_trip_gives_the_basis_and_its_kernel_entries(gens, field, order):
     assert second.stats["from_cache"] and not first.stats["from_cache"]
     assert [p.to_string() for p in second.polys] == [p.to_string() for p in first.polys]
     assert second.polys == first.polys
+    pk = packing(order, NVARS)
     for basis in (first, second):
-        built = GroebnerBasis(field, NVARS, order, basis.polys).kernel_entries()
-        assert basis.kernel_entries() == built
+        assert basis.entries == [_entry(_to_kernel(g, pk)[0], pk, field.characteristic)
+                                 for g in basis.polys]
 
 
 def gradient_ideal(field):
     f = hankel_square(3, 1, field).determinant()
     return Ideal(field, f.nvars, [f.derivative(i) for i in range(1, f.nvars + 1)])
+
+
+def test_a_miss_and_its_put_encode_each_generator_once(tmp_path, monkeypatch):
+    ideal = gradient_ideal(QQ)
+    encoded = []
+
+    def counted(p, pk):
+        encoded.append(p)
+        return _to_kernel(p, pk)
+
+    # every hankelkit module that binds the encoder counts through it
+    for name, module in list(sys.modules.items()):
+        if name.startswith("hankelkit") and getattr(module, "_to_kernel", None) is _to_kernel:
+            monkeypatch.setattr(module, "_to_kernel", counted)
+    assert polyring._to_kernel is counted
+    cache = GroebnerCache(tmp_path, ENGINE_VERSION)
+    buchberger(ideal, cache=cache)
+    assert (cache.misses, len(cache.entries())) == (1, 1)
+    assert encoded == list(ideal.generators)
+    encoded.clear()
+    assert buchberger(ideal, cache=cache).stats["from_cache"]
+    assert encoded == list(ideal.generators)
 
 
 def generator_index(data, ideal, order=DEGREVLEX):

@@ -1,7 +1,7 @@
 """Groebner engine: bases, normal forms, dimension against brute force,
 elimination, quotients, radical membership, kernels, syzygies, reductions."""
 
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -230,9 +230,19 @@ def test_codim_minor_table_extends_to_m5():
             assert c == min(2 * (5 - t) + 1, 10 - t - r), (r, t)
 
 
-def test_unit_ideal_dimension():
-    ideal = Ideal(QQ, 3, [Polynomial.one(QQ, 3)])
-    assert gb.dimension(ideal) == -1
+def test_unit_ideal_dimension(tmp_path):
+    """-1 for the unit ideal and nvars for the zero ideal, computed and read
+    back from the disk cache."""
+    from hankelkit import ENGINE_VERSION
+    from hankelkit.cache import GroebnerCache
+
+    one = Polynomial.one(QQ, 3)
+    for gens, expected in (([one], -1), ([x(1, 3), x(1, 3) + one], -1), ([], 3)):
+        ideal = Ideal(QQ, 3, gens)
+        cache = GroebnerCache(tmp_path / str(len(gens)), ENGINE_VERSION)
+        assert gb.dimension(ideal) == expected
+        assert gb.dimension(ideal, cache=cache) == expected and cache.misses == 1
+        assert gb.dimension(ideal, cache=cache) == expected and cache.hits == 1
 
 
 # -- ideal equality, elimination, quotient, radical ------------------------------
@@ -406,6 +416,31 @@ def test_reduction_requires_containment():
     assert not rep.contained and rep.reduction_number is None
 
 
+quadrics = st.dictionaries(
+    st.sampled_from([tuple(e.count(i) for i in range(3))
+                     for e in combinations_with_replacement(range(3), 2)]),
+    st.integers(min_value=-2, max_value=2), min_size=1, max_size=3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(quadrics, min_size=1, max_size=3), quadrics, st.booleans(),
+       st.sampled_from([QQ, PrimeField(5)]))
+def test_reduction_containment_agrees_with_groebner_membership(i_gens, stray, strayed, field):
+    """J holds a generator of I and the sum of I's generators, plus a stray
+    quadric when ``strayed``: the span test of J in I agrees with the
+    Groebner normal forms."""
+    I = Ideal(field, 3, [Polynomial(field, 3, g) for g in i_gens])
+    if not I.generators:
+        return
+    total = sum(I.generators[1:], I.generators[0])
+    if strayed:
+        total = total + Polynomial(field, 3, stray)
+    J = Ideal(field, 3, [I.generators[0], total])
+    basis = gb.buchberger(I)
+    expected = all(gb.reduces_to_zero(g, basis) for g in J.generators)
+    assert gb.reduction_check(J, I, 0).contained == expected
+
+
 # -- randomized engine cross-validation -----------------------------------------------
 
 small_polys = st.dictionaries(
@@ -512,6 +547,28 @@ def test_cache_round_trip_over_prime_field(tmp_path):
     assert cache.hits == 1
     assert [p.to_string() for p in first.polys] == [p.to_string() for p in second.polys]
     assert gb.verify_basis(second)
+
+
+def test_basis_readers_leave_the_polynomials_undecoded(tmp_path, monkeypatch):
+    from hankelkit import ENGINE_VERSION
+    from hankelkit.cache import GroebnerCache
+
+    made = []
+    buchberger = gb.buchberger
+
+    def recorded(*args, **kwargs):
+        made.append(buchberger(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(gb, "buchberger", recorded)
+    cache = GroebnerCache(tmp_path, ENGINE_VERSION)
+    _, f, J = gradient_ideal(3, 1)
+    assert gb.codimension(J, cache=cache) == 2
+    assert gb.radical_membership(f, J)
+    hit = gb.buchberger(J, cache=cache)
+    assert hit.stats["from_cache"]
+    assert gb.reduces_to_zero(f, hit) and gb.verify_basis(hit)
+    assert len(made) == 3 and all("polys" not in b.__dict__ for b in made)
 
 
 def test_cache_misses_an_entry_of_another_engine(tmp_path, monkeypatch):
