@@ -11,12 +11,15 @@ fixed-width fields.  Plain int comparison is then the order, a product is
 ``+`` and divisibility is one guard-bit test.  The format, its degree bound
 ``MAX_DEGREE`` and the conversions to and from ``Polynomial`` live in
 ``polyring``, which also multiplies polynomials and ``symmatrix``
-determinants on it.  Buchberger takes pairs by lcm degree and prunes them
-with the Gebauer-Moeller update.  One division loop, ``_reduce_full``,
-serves the basis computation, normal forms, membership, ideal equality and
-basis verification.  A ``GroebnerBasis`` holds only kernel entries:
-generators are encoded once when they come in, and a basis is decoded to
-polynomials only when a caller reads its ``polys``.
+determinants on it.  Buchberger takes pairs by sugar, then lcm degree, and
+prunes them with the Gebauer-Moeller update.  One division loop,
+``_reduce_full``, serves the basis computation, normal forms, membership,
+ideal equality and basis verification; it takes leads from a max-heap of
+the keys in flight, and the reductions of one basis computation share a
+memo of the first basis element whose lead divides each key.  A
+``GroebnerBasis`` holds only kernel entries: generators are encoded once
+when they come in, and a basis is decoded to polynomials only when a caller
+reads its ``polys`` (``elimination`` decodes only the elements it keeps).
 
 Over QQ every intermediate polynomial is kept integer and primitive; leading
 coefficients are only normalized in the final reduced basis.  Budgets make
@@ -122,9 +125,13 @@ class GroebnerBasis:
 
     @cached_property
     def polys(self) -> tuple:
+        return self.decode(self.entries)
+
+    def decode(self, entries) -> tuple:
+        """The polynomials of some of this basis's entries."""
         pk = packing(self.order, self.nvars)
         return tuple(_from_kernel({lead: lc, **dict(tail)}, pk, self.field, self.nvars)
-                     for lead, _, lc, tail, _ in self.entries)
+                     for lead, _, lc, tail, _ in entries)
 
     def leading_monomials(self) -> list:
         decode = packing(self.order, self.nvars).decode
@@ -175,7 +182,7 @@ def kernel_basis(field, nvars: int, order: MonomialOrder, elements: list,
 
 
 def _reduce_full(work: dict, reducers: list, pk: MonomialPacking, p: int,
-                 arena_limit: int) -> tuple:
+                 arena_limit: int, memo: Optional[dict] = None) -> tuple:
     """(rem, scale): the full normal form of ``work`` against the entries
     ``reducers``, each lead term divided by the first reducer whose lead
     divides it, with rem = scale * the remainder.
@@ -183,27 +190,47 @@ def _reduce_full(work: dict, reducers: list, pk: MonomialPacking, p: int,
     Over GF(p) the reducers are monic and scale is 1.  Over QQ this is
     pseudo-reduction: rem is integer-primitive and scale the positive
     rational that the multiplications and content divisions add up to.
+
+    Leads come from a max-heap of the keys of ``work``.  A reducer only adds
+    keys below the current lead, so a key is pushed once, when it first
+    enters ``work``; a term that cancels stays as a zero until its key is
+    popped, and is then skipped.  ``memo``, shared by calls whose
+    ``reducers`` only grow by appending, maps a key to ~i for the first
+    reducer i whose lead divides it, or to the number of reducers that were
+    scanned without finding one.
     """
     guard = pk.guard
     low = pk.low
-    divisors = [r[1] for r in reducers]
     work = dict(work)
+    heap = [-k for k in work]
+    heapq.heapify(heap)
+    pop = heapq.heappop
+    push = heapq.heappush
     rem: dict = {}
-    scale = Fraction(1)
-    mul = 1
+    num = den = 1       # over QQ, scale = num / den
     steps = 0
-    while work:
-        if len(work) + len(rem) > arena_limit:
-            raise BudgetExceededError("term arena", arena_limit)
-        lm = max(work)
+    while heap:
+        lm = -pop(heap)
         lc = work.pop(lm)
-        e = lm - ((lm & low) << _FIELD_BITS)
-        for idx, d in enumerate(divisors):
-            if (e + d) & guard == guard:
-                break
-        else:
-            rem[lm] = lc
+        if not lc:
             continue
+        if len(work) + len(rem) >= arena_limit:
+            raise BudgetExceededError("term arena", arena_limit)
+        idx = memo.get(lm, 0) if memo is not None else 0
+        if idx >= 0:
+            e = lm - ((lm & low) << _FIELD_BITS)
+            for idx in range(idx, len(reducers)):
+                if (e + reducers[idx][1]) & guard == guard:
+                    break
+            else:
+                if memo is not None:
+                    memo[lm] = len(reducers)
+                rem[lm] = lc
+                continue
+            if memo is not None:
+                memo[lm] = ~idx
+        else:
+            idx = ~idx
         blead, _, blc, btail, btops = reducers[idx]
         shift = lm - blead
         if (shift + btops) & guard:
@@ -211,11 +238,12 @@ def _reduce_full(work: dict, reducers: list, pk: MonomialPacking, p: int,
         if p:
             for k, c in btail:
                 kk = k + shift
-                v = (work.get(kk, 0) - lc * c) % p
-                if v:
-                    work[kk] = v
+                v = work.get(kk)
+                if v is None:
+                    work[kk] = -lc * c % p
+                    push(heap, -kk)
                 else:
-                    del work[kk]
+                    work[kk] = (v - lc * c) % p
             continue
         g = gcd(lc, blc)
         a = blc // g
@@ -223,28 +251,28 @@ def _reduce_full(work: dict, reducers: list, pk: MonomialPacking, p: int,
         if a != 1:
             work = {k: c * a for k, c in work.items()}
             rem = {k: c * a for k, c in rem.items()}
-            mul *= a
+            num *= a
         for k, c in btail:
             kk = k + shift
-            v = work.get(kk, 0) - b * c
-            if v:
-                work[kk] = v
+            v = work.get(kk)
+            if v is None:
+                work[kk] = -b * c
+                push(heap, -kk)
             else:
-                del work[kk]
+                work[kk] = v - b * c
         steps += 1
         if steps % 32 == 0:
             g = gcd(*work.values(), *rem.values())
             if g > 1:
                 work = {k: c // g for k, c in work.items()}
                 rem = {k: c // g for k, c in rem.items()}
-            scale *= Fraction(mul, g or 1)
-            mul = 1
+                den *= g
     if p or not rem:
         return rem, 1
     g = gcd(*rem.values())
     if g > 1:
         rem = {k: c // g for k, c in rem.items()}
-    return rem, scale * Fraction(mul, g)
+    return rem, Fraction(num, den * g)
 
 
 def _spoly(a: tuple, b: tuple, lcm_key: int, pk: MonomialPacking, p: int) -> dict:
@@ -296,14 +324,19 @@ def buchberger(ideal: Ideal, order: MonomialOrder = DEGREVLEX,
                budget: Optional[GBBudget] = None, cache=None) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal under the given order.
 
-    Deterministic: pairs are taken by lcm degree, then indices, and pruned by
-    the Gebauer-Moeller update (Gebauer & Moeller 1988) when an element joins
-    the basis.  Of its new pairs only those whose lcm no other new lcm
-    divides survive, one per lcm, none where a coprime pair shares that lcm,
-    and coprime pairs are dropped; an old pair goes when the new lead divides
-    its lcm and the lcms with the new lead differ from it on both sides.  The
-    reduced basis is unique for the order, so results are byte-reproducible
-    and cacheable.
+    Deterministic: pairs are taken by sugar (Giovini, Mora, Niesi, Robbiano
+    & Traverso 1991), then lcm degree, then indices.  A generator's sugar is
+    its total degree; a pair's is the larger over its two sides of the
+    side's sugar plus the degree of its cofactor, deg lcm - deg lead; a new
+    element takes the larger of its pair's sugar and its lead's degree.
+    Pairs are pruned by the Gebauer-Moeller update (Gebauer & Moeller 1988)
+    when an element joins the basis.  Of its new pairs only those whose lcm
+    no other new lcm divides survive, one per lcm, none where a coprime pair
+    shares that lcm, and coprime pairs are dropped; an old pair goes when the
+    new lead divides its lcm and the lcms with the new lead differ from it on
+    both sides.  Every reduction shares one divisor memo over the growing
+    basis (see ``_reduce_full``).  The reduced basis is unique for the order,
+    so results are byte-reproducible and cacheable.
     """
     budget = budget or DEFAULT_BUDGET
     p = ideal.field.characteristic
@@ -314,55 +347,66 @@ def buchberger(ideal: Ideal, order: MonomialOrder = DEGREVLEX,
         if hit is not None:
             return hit
     guard = pk.guard
+    degree = pk.degree
     entries: list = []      # the basis so far; pairs refer to indices
+    exps: list = []         # the packed exponents of each entry's lead
+    excess: list = []       # each entry's sugar minus its lead's degree
     pending: dict = {}      # live pairs: (i, j) -> (exps, key) of the lcm of their leads
-    heap: list = []         # (lcm degree, i, j); pairs no longer pending are skipped
+    heap: list = []         # (sugar, lcm degree, i, j); pairs no longer pending are skipped
+    memo: dict = {}         # the divisor memo of _reduce_full over ``entries``
     stats = {"pairs_processed": 0, "pairs_pushed": 0,
              "pairs_skipped_coprime": 0, "pairs_skipped_gm": 0}
 
-    def add(entry) -> None:
+    def add(entry, sugar: int) -> None:
         h = len(entries)
-        entries.append(entry)
         dh = entry[1]
         eh = guard - dh
         # new pairs by lcm, a divisor before its multiples and, among equal
         # lcms, coprime pairs first: a pair survives unless an earlier kept
         # lcm divides its own
         new = []
-        for g in range(h):
-            eg = guard - entries[g][1]
+        for g, eg in enumerate(exps):
             e = _lcm(eh, eg, guard)
             new.append((e, e != eh + eg, g))
         new.sort()
         kept: list = []     # divisor masks of the lcms kept so far, coprime ones too
         fresh: list = []
+        coprime = 0
         for e, shared, g in new:
-            if not shared:
-                stats["pairs_skipped_coprime"] += 1
-            elif any((e + d) & guard == guard for d in kept):
-                stats["pairs_skipped_gm"] += 1
-                continue
+            if shared:
+                for d in kept:
+                    if (e + d) & guard == guard:
+                        break
+                else:
+                    fresh.append((e, g))
+                    kept.append(guard - e)
             else:
-                fresh.append((e, g))
-            kept.append(guard - e)
+                coprime += 1
+                kept.append(guard - e)
         dead = [pair for pair, (e, _) in pending.items()
                 if (e + dh) & guard == guard
-                and e != _lcm(guard - entries[pair[0]][1], eh, guard)
-                and e != _lcm(guard - entries[pair[1]][1], eh, guard)]
+                and e != _lcm(exps[pair[0]], eh, guard)
+                and e != _lcm(exps[pair[1]], eh, guard)]
         for pair in dead:
             del pending[pair]
-        stats["pairs_skipped_gm"] += len(dead)
+        # each of the h new pairs is coprime, fresh or pruned
+        stats["pairs_skipped_coprime"] += coprime
+        stats["pairs_skipped_gm"] += h - coprime - len(fresh) + len(dead)
+        stats["pairs_pushed"] += len(fresh)
+        entries.append(entry)
+        exps.append(eh)
+        excess.append(sugar - degree(entry[0]))
         for e, g in fresh:
             key = _lcm_key(e, pk)
+            deg = degree(key)
             pending[(g, h)] = (e, key)
-            heapq.heappush(heap, (pk.degree(key), g, h))
-        stats["pairs_pushed"] += len(fresh)
+            heapq.heappush(heap, (max(excess[g], excess[h]) + deg, deg, g, h))
 
     for terms in generators:
-        add(_entry(terms, pk, p))
+        add(_entry(terms, pk, p), max(map(degree, terms)))
     term_total = sum(1 + len(e[3]) for e in entries)
     while heap:
-        _, i, j = heapq.heappop(heap)
+        sugar, _, i, j = heapq.heappop(heap)
         lcm = pending.pop((i, j), None)
         if lcm is None:
             continue
@@ -372,10 +416,11 @@ def buchberger(ideal: Ideal, order: MonomialOrder = DEGREVLEX,
         s = _spoly(entries[i], entries[j], lcm[1], pk, p)
         if not s:
             continue
-        nf = _reduce_full(s, entries, pk, p, budget.max_terms)[0]
+        nf = _reduce_full(s, entries, pk, p, budget.max_terms, memo)[0]
         if not nf:
             continue
-        add(_entry(nf, pk, p))
+        entry = _entry(nf, pk, p)
+        add(entry, max(sugar, degree(entry[0])))
         term_total += len(nf)
         if len(entries) > budget.max_basis:
             raise BudgetExceededError("basis size", budget.max_basis)
@@ -496,10 +541,14 @@ def elimination(ideal: Ideal, elim_vars: Sequence[int],
     to_front = [position[v] for v in range(1, n + 1)]
     k = len(elim)
     permuted = Ideal(ideal.field, n, [g.rename(n, to_front) for g in ideal.generators])
-    gb = buchberger(permuted, BlockOrder(k), budget, cache)
+    # with nothing to eliminate the block order would be degrevlex
+    gb = buchberger(permuted, BlockOrder(k) if k else DEGREVLEX, budget, cache)
+    # an element lies in the subring iff its lead does, iff the lead key is
+    # zero in the top k fields, which hold the eliminated block
+    bound = 1 << (_FIELD_BITS * (n - k))
     strip = [None] * k + list(range(1, len(rest) + 1))
-    kept = [g.rename(len(rest), strip) for g in gb.polys
-            if not any(any(exps[:k]) for exps in g.terms)]
+    kept = [g.rename(len(rest), strip)
+            for g in gb.decode(e for e in gb.entries if e[0] < bound)]
     return Ideal(ideal.field, len(rest), kept)
 
 

@@ -396,7 +396,10 @@ class MonomialPacking:
 
     def degree(self, key: int) -> int:
         """Total degree: the sum of the block totals."""
-        return sum((key >> s) & _FIELD_MASK for s in self.top_shifts)
+        total = 0
+        for s in self.top_shifts:
+            total += (key >> s) & _FIELD_MASK
+        return total
 
 
 @lru_cache(maxsize=None)

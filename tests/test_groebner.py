@@ -23,6 +23,7 @@ from hankelkit.polyring import (
     QQ,
     mono_divides,
     mono_mul,
+    parse_polynomial,
 )
 from hankelkit.symmatrix import HankelSpec, SymMatrix, hankel, hankel_square
 
@@ -277,6 +278,50 @@ def test_intersection_via_tag():
     assert [g.to_string() for g in out.generators] == ["x2"]
 
 
+def _old_elimination_filter(basis, nkept):
+    """The generators the block-order basis gave before leads chose them:
+    decode every element and drop those with an eliminated variable."""
+    k = basis.order.elim_count
+    strip = [None] * k + list(range(1, nkept + 1))
+    return [g.rename(nkept, strip) for g in basis.polys
+            if not any(any(exps[:k]) for exps in g.terms)]
+
+
+@pytest.mark.parametrize("case", ["kernel", "quotient"])
+def test_elimination_keeps_what_decoding_every_element_kept(case, monkeypatch):
+    made = []
+    buchberger = gb.buchberger
+
+    def recorded(*args, **kwargs):
+        made.append(buchberger(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(gb, "buchberger", recorded)
+    if case == "kernel":
+        images = [mn.value for mn in hankel(HankelSpec(3, 5, 1)).minors(2)]
+        out = gb.kernel_of_algebra_map(images)
+    else:
+        out = gb.ideal_quotient(minor_ideal(4, 1, 3), x(1, 6) + x(6, 6))
+    basis = made[-1]
+    nkept = basis.nvars - basis.order.elim_count
+    old = _old_elimination_filter(basis, nkept)
+    assert len(old) < len(basis)
+    if case == "kernel":
+        assert [g.to_string() for g in out.generators] == [g.to_string() for g in old]
+    else:
+        # the quotient divides each kept generator by f afterwards
+        f = x(1, 6) + x(6, 6)
+        assert [g.to_string() for g in out.generators] == \
+            [gb.poly_divide_exact(g, f).to_string() for g in old]
+
+
+def test_elimination_of_no_variable_is_the_degrevlex_basis():
+    ideal = minor_ideal(3, 1, 2)
+    out = gb.elimination(ideal, [])
+    assert [g.to_string() for g in out.generators] == \
+        [g.to_string() for g in gb.buchberger(ideal).polys]
+
+
 def test_quotient_by_regular_element_fixes_ideal():
     ideal = Ideal(QQ, 5, [mn.value for mn in hankel(HankelSpec(2, 4, 0)).minors(2)])
     out = gb.ideal_quotient(ideal, x(5, 5))
@@ -472,8 +517,10 @@ def test_groebner_random_cross_validation(gens, p, q):
     assert gb.ideal_equal(ideal, fatter)
 
 
-# over prime fields: over QQ the lex bases of some such ideals carry
-# coefficients of thousands of digits and take minutes
+# over prime fields: over QQ the lex bases of a few such ideals carry
+# coefficients of thousands of digits and run for minutes, under sugar
+# selection as under selection by lcm degree; each selection has its own
+# slow ideals (the one pinned below was slow only under lcm degree)
 @settings(max_examples=25, deadline=None)
 @given(st.lists(small_polys, min_size=1, max_size=3),
        st.sampled_from([PrimeField(5), PrimeField(32003)]))
@@ -486,6 +533,101 @@ def test_degrevlex_and_lex_bases_span_one_ideal(gens, field):
     assert gb.verify_basis(lex)
     drl = gb.buchberger(ideal)
     assert gb.ideal_equal(Ideal(field, 3, lex.polys), Ideal(field, 3, drl.polys))
+
+
+def _lex_ideal(texts):
+    return Ideal(QQ, 3, [parse_polynomial(t, QQ, 3) for t in texts])
+
+
+def test_lex_basis_whose_coefficients_exploded_under_lcm_degree_selection():
+    # taking pairs by lcm degree, this ideal ran for over 9 minutes; sugar
+    # finishes it in 41 pairs, with at most 300 terms in flight
+    ideal = _lex_ideal(["3*x1^2*x3^2+x2^2*x3^2-x1*x2+4*x2",
+                        "2*x1^2*x2*x3^2+2*x1*x2^2-3*x2*x3^2",
+                        "3*x1*x2^2*x3^2-3*x1^2*x2^2-2*x3^2"])
+    basis = gb.buchberger(ideal, LEX, GBBudget(max_pairs=50, max_terms=600))
+    assert len(basis) == 5 and gb.verify_basis(basis)
+
+
+# -- pair selection ------------------------------------------------------------------
+
+FIELD_ORDERS = ([(QQ, DEGREVLEX), (QQ, BlockOrder(1))]
+                + [(PrimeField(p), order) for p in (5, 32003)
+                   for order in (DEGREVLEX, LEX, BlockOrder(1))])
+
+
+@st.composite
+def ideals_and_combinations(draw):
+    """(field, order, generators, combination): two or three polynomials in
+    three variables without constant terms, homogeneous of one degree or not,
+    and a combination of them with small coefficients (and, when
+    inhomogeneous, monomial factors)."""
+    field, order = draw(st.sampled_from(FIELD_ORDERS))
+    homogeneous = draw(st.booleans())
+    if homogeneous:
+        d = draw(st.integers(min_value=1, max_value=3))
+        mono = st.sampled_from([tuple(c.count(i) for i in range(3))
+                                for c in combinations_with_replacement(range(3), d)])
+        factor = st.just((0, 0, 0))
+    else:
+        mono = st.tuples(*[st.integers(min_value=0, max_value=2)] * 3).filter(any)
+        factor = st.tuples(*[st.integers(min_value=0, max_value=1)] * 3)
+    terms = st.dictionaries(mono, st.integers(min_value=-4, max_value=4).filter(bool),
+                            min_size=1, max_size=4)
+    gens = [Polynomial(field, 3, t)
+            for t in draw(st.lists(terms, min_size=2, max_size=3, unique_by=lambda t: tuple(sorted(t))))]
+    combination = Polynomial.zero(field, 3)
+    for g in gens:
+        combination = combination + g.mul_term(draw(factor), draw(st.integers(-3, 3)))
+    return field, order, gens, combination
+
+
+@settings(max_examples=150, deadline=None)
+@given(ideals_and_combinations())
+def test_pair_order_does_not_change_the_reduced_basis(case):
+    # reversing the generators and appending a combination of them changes
+    # every pair index and so the order in which pairs of one sugar are taken
+    field, order, gens, combination = case
+    ideal = Ideal(field, 3, gens)
+    if not ideal.generators:
+        return
+    basis = gb.buchberger(ideal, order)
+    other = gb.buchberger(Ideal(field, 3, gens[::-1] + [combination]), order)
+    assert other.entries == basis.entries
+    assert gb.verify_basis(basis) and gb.verify_basis(other)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)])
+def test_reduce_full_with_a_shared_memo_matches_a_fresh_scan(field):
+    # the reducer list grows by appending, as the basis does inside
+    # buchberger, and one memo serves every reduction against it
+    _, _, J = gradient_ideal(4, 1, field)
+    basis = gb.buchberger(J)
+    pk = gb.packing(DEGREVLEX, J.nvars)
+    p = field.characteristic
+    n = J.nvars
+    targets = [gb._to_kernel(g * h, pk)[0]
+               for g in J.generators for h in (x(1, n, field), x(n, n, field) + x(3, n, field))]
+    reducers: list = []
+    memo: dict = {}
+    for entry in basis.entries[::-1]:
+        reducers.append(entry)
+        for terms in targets:
+            shared = gb._reduce_full(terms, reducers, pk, p, 10 ** 6, memo)
+            assert shared == gb._reduce_full(terms, reducers, pk, p, 10 ** 6)
+    assert any(v < 0 for v in memo.values())       # keys with a divisor
+    assert any(v > 0 for v in memo.values())       # keys scanned without one
+    assert all(not gb._reduce_full(t, reducers, pk, p, 10 ** 6, memo)[0] for t in targets)
+
+
+def test_term_arena_budget_raises_inside_a_reduction():
+    _, f, J = gradient_ideal(4, 1)
+    basis = gb.buchberger(J)
+    with pytest.raises(BudgetExceededError, match="term arena"):
+        gb.normal_form(f * f, basis, GBBudget(max_terms=20))
+    pk = gb.packing(DEGREVLEX, J.nvars)
+    with pytest.raises(BudgetExceededError, match="term arena"):
+        gb._reduce_full(gb._to_kernel(f * f, pk)[0], basis.entries, pk, 0, 20, {})
 
 
 # -- membership consistency at constructible zeros -----------------------------------
