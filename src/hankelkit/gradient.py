@@ -83,21 +83,43 @@ def euler_identity_check(data: GradientData) -> bool:
 
 @dataclass
 class HessianData:
+    """f, with its Hessian matrix and the determinant of its degeneration
+    computed on first read."""
+
     m: int
     r: int
     f: Polynomial
-    matrix: SymMatrix           # n x n second partials
 
     @property
     def nvars(self) -> int:
-        return self.matrix.nvars
+        return self.f.nvars
+
+    @cached_property
+    def matrix(self) -> SymMatrix:
+        """The n x n second partials."""
+        return _second_partials(self.f)
 
     @cached_property
     def degenerated(self) -> Polynomial:
-        """The determinant of the matrix after the three-variable kill."""
+        """The determinant of the matrix after the three-variable kill.
+
+        The kill leaves only the variables of ``survivors``, so a second
+        partial of a term survives it only when the term has at most two
+        factors outside them; only those terms of f are differentiated."""
         n, keep = self.nvars, survivors(self.m, self.r)
         targets = [i if i in keep else None for i in range(1, n + 1)]
-        return self.matrix.map_entries(lambda e: e.rename(n, targets)).determinant()
+        dead = [i - 1 for i in range(1, n + 1) if i not in keep]
+        f = self.f
+        part = Polynomial(f.field, n, {e: c for e, c in f.terms.items()
+                                       if sum(e[i] for i in dead) <= 2}, _trusted=True)
+        return _second_partials(part).map_entries(lambda e: e.rename(n, targets)).determinant()
+
+
+def _second_partials(f: Polynomial) -> SymMatrix:
+    """The Hessian matrix of f."""
+    n = f.nvars
+    partials = [f.derivative(k) for k in range(1, n + 1)]
+    return SymMatrix(n, n, [fk.derivative(j) for fk in partials for j in range(1, n + 1)])
 
 
 def survivors(m: int, r: int) -> set:
@@ -106,10 +128,8 @@ def survivors(m: int, r: int) -> set:
 
 
 def hessian(m: int, r: int, field=QQ) -> HessianData:
-    data = gradient(m, r, field)
-    n = data.nvars
-    entries = [fk.derivative(j) for fk in data.partials for j in range(1, n + 1)]
-    return HessianData(m, r, data.f, SymMatrix(n, n, entries))
+    _check_params(m, r)
+    return HessianData(m, r, hankel_square(m, r, field).determinant())
 
 
 def hessian_degenerated(m: int, r: int, field=QQ) -> Polynomial:
@@ -384,7 +404,7 @@ def minimal_primes_checks(m: int, r: int, budget: Optional[GBBudget] = None,
         gb_p = groebner.buchberger(P, DEGREVLEX, budget, cache)
         in_p = all(groebner.reduces_to_zero(fk, gb_p, budget) for fk in data.partials)
         codim_q = groebner.codimension(Q, DEGREVLEX, budget, cache)
-        codim_p = groebner.codimension(P, DEGREVLEX, budget, cache)
+        codim_p = n - groebner.basis_dimension(gb_p)
         codims_ok = (codim_q == m - r) and (codim_p == 3)
     except BudgetExceededError:
         budget_hit = True

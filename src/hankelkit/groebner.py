@@ -11,12 +11,15 @@ fixed-width fields.  Plain int comparison is then the order, a product is
 ``+`` and divisibility is one guard-bit test.  The format, its degree bound
 ``MAX_DEGREE`` and the conversions to and from ``Polynomial`` live in
 ``polyring``, which also multiplies polynomials and ``symmatrix``
-determinants on it.  Buchberger takes pairs by sugar, then lcm degree, and
-prunes them with the Gebauer-Moeller update.  One division loop,
-``_reduce_full``, serves the basis computation, normal forms, membership,
-ideal equality and basis verification; it takes leads from a max-heap of
-the keys in flight, and the reductions of one basis computation share a
-memo of the first basis element whose lead divides each key.  A
+determinants on it.  Buchberger takes generators and pairs from one sugar
+queue, pairs by sugar and then lcm degree, and prunes pairs with the
+Gebauer-Moeller update; a generator that reduces to zero against the basis
+so far never becomes an element, and the final tail reduction runs in
+increasing lead order against the elements already reduced.  One
+division loop, ``_reduce_full``, serves the basis computation, normal forms,
+membership, ideal equality and basis verification; it takes leads from a
+max-heap of the keys in flight, and the reductions of one basis computation
+share a memo of the first basis element whose lead divides each key.  A
 ``GroebnerBasis`` holds only kernel entries: generators are encoded once
 when they come in, and a basis is decoded to polynomials only when a caller
 reads its ``polys`` (``elimination`` decodes only the elements it keeps).
@@ -320,23 +323,53 @@ def _lcm_key(e: int, pk: MonomialPacking) -> int:
     return key
 
 
+def _interreduce(entries: list, pk: MonomialPacking, p: int, arena_limit: int) -> list:
+    """The reduced basis of a Groebner basis given as entries, in increasing
+    lead order.
+
+    Keeps the elements whose lead no other lead divides, then tail-reduces
+    each, in increasing lead order, against the elements already reduced: a
+    lead that divides a tail term lies below it, so only they can.  The
+    reductions share one divisor memo (see ``_reduce_full``).
+    """
+    guard = pk.guard
+    minimal: list = []
+    for entry in sorted(entries, key=itemgetter(0)):
+        e = guard - entry[1]
+        if not any((e + m[1]) & guard == guard for m in minimal):
+            minimal.append(entry)
+    reduced: list = []
+    memo: dict = {}
+    for lead, _, lc, tail, _ in minimal:
+        nf = _reduce_full({lead: lc, **dict(tail)}, reduced, pk, p, arena_limit, memo)[0]
+        reduced.append(_entry(nf, pk, p))
+    return reduced
+
+
 def buchberger(ideal: Ideal, order: MonomialOrder = DEGREVLEX,
                budget: Optional[GBBudget] = None, cache=None) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal under the given order.
 
-    Deterministic: pairs are taken by sugar (Giovini, Mora, Niesi, Robbiano
-    & Traverso 1991), then lcm degree, then indices.  A generator's sugar is
-    its total degree; a pair's is the larger over its two sides of the
-    side's sugar plus the degree of its cofactor, deg lcm - deg lead; a new
-    element takes the larger of its pair's sugar and its lead's degree.
+    Deterministic: generators and pairs wait in one queue and are taken by
+    sugar (Giovini, Mora, Niesi, Robbiano & Traverso 1991), then by the
+    degree of the generator's lead or of the pair's lcm, then generators
+    before pairs and by index.  A generator's sugar is its total degree; a
+    pair's is the larger over its two sides of the side's sugar plus the
+    degree of its cofactor, deg lcm - deg lead.  A generator or S-polynomial
+    taken from the queue is reduced against the basis so far and joins it
+    when its normal form is nonzero, with the larger of its sugar and its
+    new lead's degree; a generator that reduces to zero never becomes an
+    element and counts in ``stats["generators_dropped"]``, not in
+    ``pairs_processed``, which alone counts against ``max_pairs``.
     Pairs are pruned by the Gebauer-Moeller update (Gebauer & Moeller 1988)
     when an element joins the basis.  Of its new pairs only those whose lcm
     no other new lcm divides survive, one per lcm, none where a coprime pair
     shares that lcm, and coprime pairs are dropped; an old pair goes when the
     new lead divides its lcm and the lcms with the new lead differ from it on
     both sides.  Every reduction shares one divisor memo over the growing
-    basis (see ``_reduce_full``).  The reduced basis is unique for the order,
-    so results are byte-reproducible and cacheable.
+    basis (see ``_reduce_full``), and ``_interreduce`` makes the final basis
+    reduced.  The reduced basis is unique for the order, so results are
+    byte-reproducible and cacheable.
     """
     budget = budget or DEFAULT_BUDGET
     p = ideal.field.characteristic
@@ -352,10 +385,14 @@ def buchberger(ideal: Ideal, order: MonomialOrder = DEGREVLEX,
     exps: list = []         # the packed exponents of each entry's lead
     excess: list = []       # each entry's sugar minus its lead's degree
     pending: dict = {}      # live pairs: (i, j) -> (exps, key) of the lcm of their leads
-    heap: list = []         # (sugar, lcm degree, i, j); pairs no longer pending are skipped
+    # the queue: pair (i, j) as (sugar, lcm degree, i, j), skipped once no
+    # longer pending, and generator k as (its sugar, its lead's degree, -1, k)
+    heap = [(max(map(degree, terms)), degree(max(terms)), -1, k)
+            for k, terms in enumerate(generators)]
+    heapq.heapify(heap)
     memo: dict = {}         # the divisor memo of _reduce_full over ``entries``
     stats = {"pairs_processed": 0, "pairs_pushed": 0,
-             "pairs_skipped_coprime": 0, "pairs_skipped_gm": 0}
+             "pairs_skipped_coprime": 0, "pairs_skipped_gm": 0, "generators_dropped": 0}
 
     def add(entry, sugar: int) -> None:
         h = len(entries)
@@ -402,22 +439,24 @@ def buchberger(ideal: Ideal, order: MonomialOrder = DEGREVLEX,
             pending[(g, h)] = (e, key)
             heapq.heappush(heap, (max(excess[g], excess[h]) + deg, deg, g, h))
 
-    for terms in generators:
-        add(_entry(terms, pk, p), max(map(degree, terms)))
-    term_total = sum(1 + len(e[3]) for e in entries)
+    term_total = 0
     while heap:
         sugar, _, i, j = heapq.heappop(heap)
-        lcm = pending.pop((i, j), None)
-        if lcm is None:
-            continue
-        stats["pairs_processed"] += 1
-        if stats["pairs_processed"] > budget.max_pairs:
-            raise BudgetExceededError("pair reductions", budget.max_pairs)
-        s = _spoly(entries[i], entries[j], lcm[1], pk, p)
-        if not s:
-            continue
-        nf = _reduce_full(s, entries, pk, p, budget.max_terms, memo)[0]
+        if i < 0:
+            poly = generators[j]
+        else:
+            lcm = pending.pop((i, j), None)
+            if lcm is None:
+                continue
+            stats["pairs_processed"] += 1
+            if stats["pairs_processed"] > budget.max_pairs:
+                raise BudgetExceededError("pair reductions", budget.max_pairs)
+            poly = _spoly(entries[i], entries[j], lcm[1], pk, p)
+            if not poly:
+                continue
+        nf = _reduce_full(poly, entries, pk, p, budget.max_terms, memo)[0]
         if not nf:
+            stats["generators_dropped"] += i < 0
             continue
         entry = _entry(nf, pk, p)
         add(entry, max(sugar, degree(entry[0])))
@@ -427,19 +466,9 @@ def buchberger(ideal: Ideal, order: MonomialOrder = DEGREVLEX,
         if term_total > budget.max_terms:
             raise BudgetExceededError("term arena", budget.max_terms)
 
-    # keep the elements whose lead no other lead divides, then tail-reduce
-    # each against the others
-    minimal: list = []
-    for entry in sorted(entries, key=itemgetter(0)):
-        e = guard - entry[1]
-        if not any((e + m[1]) & guard == guard for m in minimal):
-            minimal.append(entry)
-    reduced = []
-    for idx, (lead, _, lc, tail, _) in enumerate(minimal):
-        others = minimal[:idx] + minimal[idx + 1:]
-        reduced.append(_reduce_full({lead: lc, **dict(tail)}, others, pk, p, budget.max_terms)[0])
+    reduced = _interreduce(entries, pk, p, budget.max_terms)
     stats.update(basis_size=len(reduced), from_cache=False)
-    gb = kernel_basis(ideal.field, ideal.nvars, order, reduced, stats)
+    gb = GroebnerBasis(ideal.field, ideal.nvars, order, reduced, stats)
     if cache is not None:
         cache.put(ideal, order, generators, gb)
     return gb
@@ -491,15 +520,20 @@ def ideal_equal(a: Ideal, b: Ideal, order: MonomialOrder = DEGREVLEX,
 
 def dimension(ideal: Ideal, order: MonomialOrder = DEGREVLEX,
               budget: Optional[GBBudget] = None, cache=None) -> int:
-    """Krull dimension of R/I, combinatorially from the initial ideal: the
-    largest variable subset S such that no leading-term support is inside S."""
-    gb = buchberger(ideal, order, budget, cache)
+    """Krull dimension of R/I (see ``basis_dimension``)."""
+    return basis_dimension(buchberger(ideal, order, budget, cache))
+
+
+def basis_dimension(gb: GroebnerBasis) -> int:
+    """Krull dimension of R/I for a basis of I, combinatorially from the
+    initial ideal: the largest variable subset S such that no leading-term
+    support is inside S."""
     if gb.entries and gb.entries[0][0] == 0:    # the least key, 0, is the monomial 1
         return -1
     supports = sorted({frozenset(i for i, e in enumerate(lm) if e)
                        for lm in gb.leading_monomials()}, key=lambda s: (len(s), sorted(s)))
-    cover = _min_hitting_set(supports, ideal.nvars)
-    return ideal.nvars - cover
+    cover = _min_hitting_set(supports, gb.nvars)
+    return gb.nvars - cover
 
 
 def codimension(ideal: Ideal, order: MonomialOrder = DEGREVLEX,

@@ -95,6 +95,21 @@ def test_degeneration_commutes_with_det():
     assert data.matrix.determinant().rename(n, targets) == data.degenerated
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(3), PrimeField(5), PrimeField(32003)])
+def test_degeneration_from_surviving_terms_matches_the_killed_full_hessian(field):
+    # ``degenerated`` differentiates only the terms of f with at most two
+    # factors outside the survivors; the kill applied to every entry of the
+    # full Hessian is the reference
+    for m in range(3, 7):
+        for r in range(m - 1):
+            data = gr.hessian(m, r, field)
+            n = data.nvars
+            keep = gr.survivors(m, r)
+            targets = [i if i in keep else None for i in range(1, n + 1)]
+            killed = data.matrix.map_entries(lambda e: e.rename(n, targets))
+            assert data.degenerated == killed.determinant(), (m, r)
+
+
 def test_closed_form_r0_single_candidate():
     form = gr.closed_form(4, 0)
     (mono, options), = form.abs_coefficients.items()

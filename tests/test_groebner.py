@@ -557,13 +557,14 @@ FIELD_ORDERS = ([(QQ, DEGREVLEX), (QQ, BlockOrder(1))]
 
 
 @st.composite
-def ideals_and_combinations(draw):
+def ideals_and_combinations(draw, homogeneous=None):
     """(field, order, generators, combination): two or three polynomials in
-    three variables without constant terms, homogeneous of one degree or not,
-    and a combination of them with small coefficients (and, when
-    inhomogeneous, monomial factors)."""
+    three variables without constant terms, homogeneous of one degree or not
+    (drawn unless ``homogeneous`` says), and a combination of them with small
+    coefficients (and, when inhomogeneous, monomial factors)."""
     field, order = draw(st.sampled_from(FIELD_ORDERS))
-    homogeneous = draw(st.booleans())
+    if homogeneous is None:
+        homogeneous = draw(st.booleans())
     if homogeneous:
         d = draw(st.integers(min_value=1, max_value=3))
         mono = st.sampled_from([tuple(c.count(i) for i in range(3))
@@ -595,6 +596,81 @@ def test_pair_order_does_not_change_the_reduced_basis(case):
     other = gb.buchberger(Ideal(field, 3, gens[::-1] + [combination]), order)
     assert other.entries == basis.entries
     assert gb.verify_basis(basis) and gb.verify_basis(other)
+
+
+# -- generator admission and the final interreduction -------------------------------
+
+def test_dependent_minors_never_become_elements():
+    # the 165 distinct 3-minors of the 6 x 6 Hankel matrix span 84
+    # dimensions, the size of their reduced basis
+    ideal = minor_ideal(6, 0, 3)
+    basis = gb.buchberger(ideal)
+    assert len(ideal.generators) == 165
+    assert basis.stats["generators_dropped"] == 81 and len(basis) == 84
+
+
+@settings(max_examples=100, deadline=None)
+@given(ideals_and_combinations(homogeneous=True))
+def test_scalar_combinations_of_one_degree_add_no_pairs(case):
+    # every generator of one degree is taken before any pair, and a scalar
+    # combination of them reduces to zero against the elements they made
+    field, order, gens, combination = case
+    basis = gb.buchberger(Ideal(field, 3, gens), order)
+    fatter = gb.buchberger(Ideal(field, 3, gens + [combination, combination.scale(2)]), order)
+    assert fatter.stats["pairs_processed"] == basis.stats["pairs_processed"]
+    assert fatter.entries == basis.entries
+
+
+def _reduce_each_against_all_others(minimal, pk, p):
+    """The reduced basis by the direct rule, the reference for
+    ``_interreduce``: each element of a minimal basis, tail-reduced against
+    all the others."""
+    return [gb._entry(gb._reduce_full({lead: lc, **dict(tail)}, minimal[:i] + minimal[i + 1:],
+                                      pk, p, 10 ** 6)[0], pk, p)
+            for i, (lead, _, lc, tail, _) in enumerate(minimal)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(field, order) for field in (QQ, PrimeField(32003))
+                        for order in (DEGREVLEX, LEX, BlockOrder(1))]),
+       st.lists(small_polys, min_size=1, max_size=3),
+       st.lists(st.tuples(st.integers(-3, 3), st.integers(0, 3)), min_size=1, max_size=8))
+def test_interreduction_in_lead_order_matches_reducing_against_all_others(
+        field_order, gens, multipliers):
+    field, order = field_order
+    ideal = Ideal(field, 3, [Polynomial(field, 3, g.terms) for g in gens])
+    if not ideal.generators:
+        return
+    try:
+        # a few small QQ lex ideals grow huge coefficients (see the test above)
+        basis = gb.buchberger(ideal, order, GBBudget(max_pairs=40, max_terms=5000))
+    except BudgetExceededError:
+        return
+    pk = gb.packing(order, 3)
+    p = field.characteristic
+    # a minimal basis that is not reduced: each element plus a multiple c * v
+    # of each element with a smaller lead, v = 1 or a variable that keeps the
+    # product's lead below the element's
+    variables = [None] + [next(iter(gb._to_kernel(x(i, 3, field), pk)[0])) for i in (1, 2, 3)]
+    minimal = []
+    for i, (lead, _, lc, tail, _) in enumerate(basis.entries):
+        terms = {lead: lc, **dict(tail)}
+        for j, (slead, _, slc, stail, _) in enumerate(basis.entries[:i]):
+            c, v = multipliers[(i + j) % len(multipliers)]
+            shift = variables[v] or 0
+            if slead + shift >= lead:
+                shift = 0
+            for k, a in [(slead, slc)] + stail:
+                value = terms.get(k + shift, 0) + c * a
+                terms[k + shift] = value % p if p else value
+            terms = {k: a for k, a in terms.items() if a}
+        minimal.append(gb._entry(terms, pk, p))
+    assert _reduce_each_against_all_others(minimal, pk, p) == basis.entries
+    # a multiple of an element is not minimal and is left out
+    lead, _, lc, tail, _ = minimal[-1]
+    shift = variables[1]
+    multiple = gb._entry({k + shift: a for k, a in [(lead, lc)] + tail}, pk, p)
+    assert gb._interreduce(minimal[::-1] + [multiple], pk, p, 10 ** 6) == basis.entries
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(32003)])
