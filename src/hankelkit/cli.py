@@ -20,6 +20,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -91,39 +92,34 @@ def cmd_gradient(m, r, cfg: RunConfig):
 
 
 def cmd_hessian_check(m, r, cfg: RunConfig):
-    cert = gradient.hessian_nonzero_certificate(m, r, cfg.rng(), cfg.field, cfg.budget)
-    verdict = "pass" if cert.nonzero else "fail"
-    return verdict, {"route": cert.route, "witness": cert.witness}
+    nonzero, witness = gradient.hessian_nonzero_certificate(m, r, cfg.rng(), cfg.field,
+                                                            cfg.budget)
+    return ("pass" if nonzero else "fail"), witness
 
 
 def cmd_appendix_check(m, r, cfg: RunConfig):
     if r == m - 2:
         raise UsageError(
             "r = m-2 is the pure-power case; the two-term closed form needs r <= m-3")
-    rep = gradient.closed_form_check(m, r)
-    if rep.branch == "hard":
-        verdict = "pass" if rep.matches else "fail"
+    witness = gradient.closed_form_check(m, r)
+    if witness["branch"] == "hard":
+        verdict = "pass" if witness["matches"] else "fail"
     else:
-        verdict = "consistent" if rep.matches else "counterexample"
-    return verdict, {"branch": rep.branch, "matches": rep.matches,
-                     "resolved_relative_sign": rep.resolved_relative_sign,
-                     "computed": rep.computed, "candidates": {
-                         "".join(map(str, k)): [str(v) for v in vals]
-                         for k, vals in rep.candidates.items()}}
+        verdict = "consistent" if witness["matches"] else "counterexample"
+    return verdict, witness
 
 
 def cmd_theta_check(m, r, cfg: RunConfig):
-    rep = gradient.theta_check(m, r, cfg.field)
+    ok, witness = gradient.theta_check(m, r, cfg.field)
     p = cfg.field.characteristic
-    if p and not rep.ok:
+    if p and not ok:
         # the GF(p) determinant is the QQ one mod p: a QQ pass whose scalar
         # p divides says nothing about the claim in characteristic p
-        qq = gradient.theta_check(m, r, QQ)
-        if qq.ok and qq.scalar % p == 0:
-            raise UsageError(f"theta-check: {p} divides the scalar {qq.scalar} at m={m}, r={r}")
-    verdict = "pass" if rep.ok else "fail"
-    return verdict, {"scalar": None if rep.scalar is None else cfg.field.format(rep.scalar),
-                     "exponent": rep.exponent, "determinant": rep.determinant}
+        qq_ok, qq = gradient.theta_check(m, r, QQ)
+        if qq_ok and Fraction(qq["scalar"]) % p == 0:
+            raise UsageError(f"theta-check: {p} divides the scalar {qq['scalar']} "
+                             f"at m={m}, r={r}")
+    return ("pass" if ok else "fail"), witness
 
 
 def cmd_codim_minors(m, r, t, cfg: RunConfig):
@@ -149,9 +145,8 @@ def cmd_codim_gradient(m, r, cfg: RunConfig):
 def cmd_gp_check(m, r, t, cfg: RunConfig):
     if not 1 <= t <= m:
         raise UsageError(f"t={t} outside 1..{m}")
-    rep = gruson_peskine_check(m, t, 2 * m - 1, r, cfg.field)
-    verdict = "pass" if rep.equal else "fail"
-    return verdict, rep.as_dict()
+    witness = gruson_peskine_check(m, t, 2 * m - 1, r, cfg.field)
+    return ("pass" if witness["equal"] else "fail"), witness
 
 
 def cmd_poset(m, cfg: RunConfig):
@@ -172,19 +167,15 @@ def cmd_pluecker(m, cfg: RunConfig):
     steps = minorposet.pluecker_step_identities(m, cfg.field)
     witness = {"relations": [rel.to_string() for rel in relations],
                "count": len(relations),
-               "step_identities": steps.as_dict()}
-    ok = steps.product_identity and steps.square_identity
-    if steps.displayed_m3_identity is not None:
-        ok = ok and steps.displayed_m3_identity
+               "step_identities": steps}
+    ok = (steps["product_identity"] and steps["square_identity"]
+          and steps["displayed_m3_identity"] is not False)
     return ("pass" if ok else "fail"), witness
 
 
 def cmd_level_decomp(m, cfg: RunConfig):
-    decomp = minorposet.derivative_level_decomposition(m, cfg.field)
-    # each f_k is solved over its level-(2m-k) brackets; reproduces says the
-    # solved combinations re-expand to f_k
-    verdict = "pass" if decomp.reproduces else "fail"
-    return verdict, decomp.as_dict()
+    witness = minorposet.derivative_level_decomposition(m, cfg.field)
+    return ("pass" if witness["reproduces"] else "fail"), witness
 
 
 def cmd_fiber_kernel(m, r, cfg: RunConfig, stretch: bool = False):
@@ -192,17 +183,16 @@ def cmd_fiber_kernel(m, r, cfg: RunConfig, stretch: bool = False):
         raise UsageError("m = 4 is the stretch case; pass --stretch to run it")
     if m not in (3, 4):
         raise UsageError("fiber-kernel runs at m = 3 (m = 4 with --stretch)")
-    rep = minorposet.fiber_kernel_compare(m, r, cfg.field, cfg.budget, cfg.cache)
-    witness = rep.as_dict()
-    if rep.verdict == "budget-exceeded":
+    witness = minorposet.fiber_kernel_compare(m, r, cfg.field, cfg.budget, cfg.cache)
+    if witness["verdict"] == "budget-exceeded":
         return "budget-exceeded", witness
     if r == 0:
         # the generic bracket-kernel comparison is a hard expectation
-        return ("pass" if rep.kernels_equal else "fail"), witness
+        return ("pass" if witness["kernels_equal"] else "fail"), witness
     # extra generators beyond the quadrics are conjecture-class reporting
     ok = True
     if m == 4 and r == 1:
-        ok = rep.new_cubic_generators >= 1
+        ok = witness["new_cubic_generators"] >= 1
     return ("consistent" if ok else "counterexample"), witness
 
 
@@ -219,71 +209,65 @@ def _expected_linear_rank(m, r, field):
 
 
 def cmd_linear_rank(m, r, cfg: RunConfig):
-    ideal = gradient.gradient(m, r, cfg.field).ideal()
-    rep = groebner.linear_syzygies(list(ideal.generators))
+    F = gradient.gradient(m, r, cfg.field).ideal().generators
+    rank, syzygies = groebner.linear_syzygies(F)
     expected, kind = _expected_linear_rank(m, r, cfg.field)
-    witness = {"linear_rank": rep.linear_rank, "space_dim": rep.space_dim,
-               "generator_count": rep.generator_count, "expected": expected,
+    witness = {"linear_rank": rank, "space_dim": len(syzygies),
+               "generator_count": len(F), "expected": expected,
                "expectation": kind,
-               "syzygies": rep.as_dict()["syzygies"]}
+               "syzygies": [[lf.to_string() for lf in syz] for syz in syzygies]}
     if kind == "hard":
-        return ("pass" if rep.linear_rank == expected else "fail"), witness
+        return ("pass" if rank == expected else "fail"), witness
     if kind == "conjecture":
-        return ("consistent" if rep.linear_rank == expected else "counterexample"), witness
+        return ("consistent" if rank == expected else "counterexample"), witness
     return "pass", witness
 
 
-def _reduction_cell(m, r, field, cfg: RunConfig, nmax: int):
-    """(verdict, report) of the reduction-number check over ``field``."""
+def _reduction_cell(m, r, field, nmax: int):
+    """(verdict, witness) of the reduction-number check over ``field``."""
     h = hankel_square(m, r, field)
     J = gradient.gradient(m, r, field).ideal()
     I = Ideal(field, h.nvars, [mn.value for mn in h.minors(m - 1)])
-    rep = groebner.reduction_check(J, I, nmax, cfg.budget, cfg.cache)
-    if not rep.contained:
+    witness = groebner.reduction_check(J, I, nmax)
+    if not witness["contained"]:
         verdict = "fail"
     elif r == 0:
-        verdict = "pass" if rep.reduction_number == m - 2 else "fail"
+        verdict = "pass" if witness["reduction_number"] == m - 2 else "fail"
     elif 1 <= r <= m - 3:
-        verdict = "pass" if rep.reduction_number is None else "fail"
+        verdict = "pass" if witness["reduction_number"] is None else "fail"
     else:
         verdict = "pass"
-    return verdict, rep
+    return verdict, witness
 
 
 def cmd_reduction_check(m, r, cfg: RunConfig, nmax: int = 3):
-    verdict, rep = _reduction_cell(m, r, cfg.field, cfg, nmax)
+    verdict, witness = _reduction_cell(m, r, cfg.field, nmax)
     p = cfg.field.characteristic
     if p:
         # the GF(p) spans are images of the QQ ones: where a step loses
         # dimension mod p, neither the verdict nor the witness is QQ's
-        qq = _reduction_cell(m, r, QQ, cfg, nmax)[1]
-        if ([(s.dim_product, s.dim_power) for s in rep.steps]
-                != [(s.dim_product, s.dim_power) for s in qq.steps]):
+        qq = _reduction_cell(m, r, QQ, nmax)[1]
+        if ([(s["dim_product"], s["dim_power"]) for s in witness["steps"]]
+                != [(s["dim_product"], s["dim_power"]) for s in qq["steps"]]):
             raise UsageError(f"reduction-check: characteristic {p} changes the span "
                              f"dimensions at m={m}, r={r}")
-    witness = rep.as_dict()
-    if rep.contained:
+    if witness["contained"]:
         witness["expected"] = (m - 2 if r == 0
                                else None if 1 <= r <= m - 3 else "unspecified")
     return verdict, witness
 
 
 def cmd_minimal_primes(m, r, cfg: RunConfig):
-    rep = gradient.minimal_primes_checks(m, r, cfg.budget, cfg.cache)
-    witness = {"in_q": rep.in_q, "in_p": rep.in_p, "codim_q": rep.codim_q,
-               "codim_p": rep.codim_p, "codims_ok": rep.codims_ok,
-               "radical_spot": rep.radical_spot, "budget_hit": rep.budget_hit}
-    if rep.budget_hit and rep.codims_ok is None:
+    witness = gradient.minimal_primes_checks(m, r, cfg.budget, cfg.cache)
+    if witness["budget_hit"] and witness["codims_ok"] is None:
         return "budget-exceeded", witness
-    verdict = "pass" if rep.checks_abc() and rep.radical_spot is not False else "fail"
-    return verdict, witness
+    ok = (witness["in_q"] and witness["in_p"] and witness["codims_ok"]
+          and witness["radical_spot"] is not False)
+    return ("pass" if ok else "fail"), witness
 
 
 def cmd_regular_seq(m, cfg: RunConfig, upto: Optional[int] = None):
-    rep = gradient.regular_sequence_experiment(m, upto, cfg.budget, cfg.cache)
-    witness = {"sequence": rep.sequence, "regular": rep.regular,
-               "first_failure": rep.first_failure}
-    return rep.verdict, witness
+    return gradient.regular_sequence_experiment(m, upto, cfg.budget, cfg.cache)
 
 
 @dataclass(frozen=True)

@@ -136,18 +136,11 @@ def hessian_degenerated(m: int, r: int, field=QQ) -> Polynomial:
     return hessian(m, r, field).degenerated
 
 
-@dataclass
-class HessianCertificate:
-    m: int
-    r: int
-    nonzero: bool
-    route: str                  # "degeneration", "evaluation" or "symbolic"
-    witness: str
-
-
 def hessian_nonzero_certificate(m: int, r: int, rng=None, field=QQ,
-                                budget: Optional[GBBudget] = None) -> HessianCertificate:
-    """Certify that the Hessian determinant of f does not vanish.
+                                budget: Optional[GBBudget] = None) -> tuple:
+    """Certify that the Hessian determinant of f does not vanish:
+    ``(nonzero, {"route": ..., "witness": ...})`` with route "degeneration",
+    "evaluation" or "symbolic".
 
     Primary route: the three-variable degeneration (a nonzero image proves a
     nonzero source).  Fallbacks: the determinant over the field of the full
@@ -157,8 +150,7 @@ def hessian_nonzero_certificate(m: int, r: int, rng=None, field=QQ,
     """
     data = hessian(m, r, field)
     if not data.degenerated.is_zero():
-        return HessianCertificate(m, r, True, "degeneration",
-                                  data.degenerated.to_string())
+        return True, {"route": "degeneration", "witness": data.degenerated.to_string()}
     if rng is not None:
         n = data.nvars
         for _ in range(5):
@@ -167,16 +159,15 @@ def hessian_nonzero_certificate(m: int, r: int, rng=None, field=QQ,
                        for i in range(1, n + 1)]
             value = det(numeric, field)
             if value != 0:
-                return HessianCertificate(m, r, True, "evaluation",
-                                          f"h(f)({point}) = {value}")
+                return True, {"route": "evaluation",
+                              "witness": f"h(f)({point}) = {value}"}
     full = data.matrix.determinant((budget or groebner.DEFAULT_BUDGET).max_terms)
-    return HessianCertificate(m, r, not full.is_zero(), "symbolic",
-                              f"{len(full.terms)} terms")
+    return not full.is_zero(), {"route": "symbolic", "witness": f"{len(full.terms)} terms"}
 
 
-@dataclass
-class ClosedForm:
-    """The two-term product expression for the degenerated Hessian.
+def closed_form(m: int, r: int) -> dict:
+    """The two-term product expression for the degenerated Hessian, as
+    monomial -> set of candidate absolute coefficients.
 
     The outer factor is the monomial C * p^(2m-2r-4) * q^(r+1) with
     C = 2^(r+1) (r+1) (m-r-1)! (m-r-2)!,
@@ -185,17 +176,6 @@ class ClosedForm:
     the expanded absolute coefficient is C*(a+b) or C*|a-b| depending on the
     relative sign, with a = r(m-r-2) and b = (m-r-1)(r+1).
     """
-
-    m: int
-    r: int
-    support: frozenset          # exponent tuples of the expansion (one element)
-    abs_coefficients: dict      # monomial -> set of candidate absolute coefficients
-
-    def candidates(self) -> dict:
-        return {mono: sorted(vals) for mono, vals in self.abs_coefficients.items()}
-
-
-def closed_form(m: int, r: int) -> ClosedForm:
     _check_params(m, r)
     if r == m - 2:
         raise IndexRangeError(
@@ -229,33 +209,19 @@ def closed_form(m: int, r: int) -> ClosedForm:
         terms[combined] = {c_out * (coeff_a + coeff_b), c_out * abs(coeff_b - coeff_a)}
     else:
         terms[combined] = {c_out * coeff_b}
-    return ClosedForm(m, r, frozenset(terms), terms)
+    return terms
 
 
-@dataclass
-class ClosedFormReport:
-    m: int
-    r: int
-    matches: bool
-    branch: str                 # "hard" for m-r >= 4, "empirical" at m-r = 3
-    resolved_relative_sign: Optional[str]
-    computed: str
-    candidates: dict
-
-
-def closed_form_check(m: int, r: int) -> ClosedFormReport:
+def closed_form_check(m: int, r: int) -> dict:
     """Compare the degenerated Hessian with the closed form: same support and
-    an absolute coefficient realized by one choice of the unresolved signs."""
+    an absolute coefficient realized by one choice of the unresolved signs.
+    The branch is "hard" for m-r >= 4 and "empirical" at m-r = 3."""
     form = closed_form(m, r)
     computed = hessian_degenerated(m, r)
-    branch = "hard" if m - r >= 4 else "empirical"
-    if set(computed.terms) != set(form.support):
-        return ClosedFormReport(m, r, False, branch, None, computed.to_string(),
-                                form.candidates())
     resolved = None
-    matches = True
-    for mono, c in computed.terms.items():
-        options = form.abs_coefficients[mono]
+    matches = set(computed.terms) == set(form)
+    for mono, c in computed.terms.items() if matches else ():
+        options = form[mono]
         if abs(c) not in options:
             matches = False
             break
@@ -264,51 +230,36 @@ def closed_form_check(m: int, r: int) -> ClosedFormReport:
             b = (m - r - 1) * (r + 1)
             c_out = 2 ** (r + 1) * (r + 1) * factorial(m - r - 1) * factorial(m - r - 2)
             resolved = "opposite" if abs(c) == c_out * abs(b - a) else "same"
-    return ClosedFormReport(m, r, matches, branch, resolved,
-                            computed.to_string(), form.candidates())
+    return {"branch": "hard" if m - r >= 4 else "empirical", "matches": matches,
+            "resolved_relative_sign": resolved, "computed": computed.to_string(),
+            "candidates": {"".join(map(str, mono)): [str(v) for v in sorted(vals)]
+                           for mono, vals in form.items()}}
 
 
-@dataclass
-class ThetaReport:
-    m: int
-    r: int
-    ok: bool
-    scalar: Optional[object]
-    exponent: int
-    determinant: str
-
-
-def theta_check(m: int, r: int, field=QQ) -> ThetaReport:
+def theta_check(m: int, r: int, field=QQ) -> tuple:
     """The leading (m+1) x (m+1) principal block of the Hessian, with
-    x_{m+2}.. killed, must have determinant c * x_{m+1}^((m+1)(m-2))."""
+    x_{m+2}.. killed, must have determinant c * x_{m+1}^((m+1)(m-2)):
+    ``(ok, {"scalar": c or None, "exponent": ..., "determinant": ...})``.
+
+    The second partials in x_1..x_{m+1} commute with the kill, so f is
+    killed first and only the block's partials are taken."""
     if m < 3:
         raise IndexRangeError("the principal-block check needs m >= 3")
     _check_params(m, r)
-    data = hessian(m, r, field)
-    n = data.nvars
-    targets = [i if i <= m + 1 else None for i in range(1, n + 1)]
-    sub = data.matrix.submatrix(range(1, m + 2), range(1, m + 2))
-    det = sub.map_entries(lambda e: e.rename(n, targets)).determinant()
+    f = hankel_square(m, r, field).determinant()
+    killed = f.rename(m + 1, [i if i <= m + 1 else None for i in range(1, f.nvars + 1)])
+    det = _second_partials(killed).determinant()
     exponent = (m + 1) * (m - 2)
-    mono = tuple(exponent if i == m else 0 for i in range(n))
-    scalar = det.terms.get(mono)
-    ok = (len(det.terms) == 1 and scalar is not None and scalar != field.zero())
-    return ThetaReport(m, r, ok, scalar, exponent, det.to_string())
-
-
-@dataclass
-class CofactorRelationsReport:
-    m: int
-    r: int
-    adjugate_identity: bool
-    block_identity: bool
-    displayed_relations: Optional[dict]
-    all_ok: bool
+    scalar = det.terms.get(tuple(exponent if i == m else 0 for i in range(m + 1)))
+    ok = len(det.terms) == 1 and scalar is not None
+    return ok, {"scalar": None if scalar is None else field.format(scalar),
+                "exponent": exponent, "determinant": det.to_string()}
 
 
 def cofactor_relations_check(m: int, r: int, field=QQ,
-                             budget: Optional[GBBudget] = None, cache=None) -> CofactorRelationsReport:
-    """Adjugate-based linear relations among cofactors.
+                             budget: Optional[GBBudget] = None, cache=None) -> dict:
+    """Adjugate-based linear relations among cofactors, as
+    {"adjugate_identity", "block_identity", "displayed_relations", "all_ok"}.
 
     Always: adj(H) H = det(H) I and the blockwise identity that the entries of
     A U + B D equal f on the diagonal and 0 off it (hence lie in the gradient
@@ -356,7 +307,8 @@ def cofactor_relations_check(m: int, r: int, field=QQ,
                 expected = data.f if j == m - k + 2 else zero
                 displayed[(k, j)] = (total == expected)
     all_ok = adj_ok and block_ok and (displayed is None or all(displayed.values()))
-    return CofactorRelationsReport(m, r, adj_ok, block_ok, displayed, all_ok)
+    return {"adjugate_identity": adj_ok, "block_identity": block_ok,
+            "displayed_relations": displayed, "all_ok": all_ok}
 
 
 def gradient_codim(m: int, r: int, budget: Optional[GBBudget] = None,
@@ -367,28 +319,16 @@ def gradient_codim(m: int, r: int, budget: Optional[GBBudget] = None,
     return groebner.codimension(data.ideal(), DEGREVLEX, budget, cache)
 
 
-@dataclass
-class MinimalPrimesReport:
-    m: int
-    r: int
-    in_q: bool                      # (a) every f_k dies under x_m.. -> 0
-    in_p: bool                      # (b) every f_k in the submaximal minors
-    codim_q: Optional[int]
-    codim_p: Optional[int]
-    codims_ok: Optional[bool]       # (c)
-    radical_spot: Optional[bool]    # (d), None when skipped or budget-bound
-    budget_hit: bool = False
-
-    def checks_abc(self) -> bool:
-        return self.in_q and self.in_p and bool(self.codims_ok)
-
-
 def minimal_primes_checks(m: int, r: int, budget: Optional[GBBudget] = None,
-                          cache=None) -> MinimalPrimesReport:
+                          cache=None) -> dict:
     """Computable containments for the two minimal primes of the gradient
     ideal at 1 <= r <= m-3: Q = (x_m..x_{2m-r-1}) and P = submaximal minors.
-    The radical spot check tests q*p in rad(J) for the first four pairs of
-    generators (q, p) of Q x P."""
+
+    (a) ``in_q``: every f_k dies under x_m.. -> 0; (b) ``in_p``: every f_k
+    lies in P; (c) ``codims_ok``: codim Q = m-r and codim P = 3; (d)
+    ``radical_spot``: q*p in rad(J) for the first four pairs of generators
+    (q, p) of Q x P.  Checks cut short by the budget read None, with
+    ``budget_hit`` set."""
     if not 1 <= r <= m - 3:
         raise IndexRangeError("minimal-prime structure needs 1 <= r <= m-3")
     data = gradient(m, r)
@@ -416,37 +356,22 @@ def minimal_primes_checks(m: int, r: int, budget: Optional[GBBudget] = None,
         except BudgetExceededError:
             radical_spot = None
             budget_hit = True
-    return MinimalPrimesReport(m, r, bool(in_q), bool(in_p), codim_q, codim_p,
-                               codims_ok, radical_spot, budget_hit)
+    return {"in_q": bool(in_q), "in_p": bool(in_p), "codim_q": codim_q,
+            "codim_p": codim_p, "codims_ok": codims_ok, "radical_spot": radical_spot,
+            "budget_hit": budget_hit}
 
 
-@dataclass
-class SyzygyShapeReport:
-    """The three linear syzygies of the generic gradient in banded form.
-
-    Column shapes (entries indexed by the generator/variable index i):
-    down-shift lambda_i = a_i x_{i-1} with a_1 = 0 and every other a_i
-    nonzero; up-shift lambda_i = b_i x_{i+1} with b_n = 0; diagonal
-    lambda_i = c_i x_i.  Together they span the full linear-syzygy space.
-    """
-
-    m: int
-    down_shift: Optional[list]
-    up_shift: Optional[list]
-    diagonal: Optional[list]
-    down_nonzero: bool
-    spans_space: bool
-
-    def ok(self) -> bool:
-        return (self.down_shift is not None and self.up_shift is not None
-                and self.diagonal is not None and self.down_nonzero
-                and self.spans_space)
-
-
-def generic_syzygy_shape_check(m: int) -> SyzygyShapeReport:
+def generic_syzygy_shape_check(m: int) -> dict:
     """Solve for linear syzygies of the generic gradient constrained to the
     three banded supports and confirm they span the whole linear-syzygy
-    space (of dimension 3)."""
+    space (of dimension 3).
+
+    Column shapes (entries indexed by the generator/variable index i):
+    ``down_shift`` lambda_i = a_i x_{i-1} with a_1 = 0 and, by
+    ``down_nonzero``, every other a_i nonzero; ``up_shift`` lambda_i =
+    b_i x_{i+1} with b_n = 0; ``diagonal`` lambda_i = c_i x_i.  A shape
+    without a unique solution reads None; ``spans_space`` says the three
+    span the full linear-syzygy space."""
     data = gradient(m, 0)
     n = data.nvars
     F = data.partials
@@ -473,35 +398,27 @@ def generic_syzygy_shape_check(m: int) -> SyzygyShapeReport:
     down_nonzero = down is not None and all(down[i] != 0 for i in range(1, n))
     spans = False
     if down and up and diag:
-        full = linear_syzygy_space_dim(F)
+        full = len(groebner.linear_syzygies(F)[1])
         # each candidate as a sparse row over the n*n coefficients (i, v)
         candidates = [{(i - 1) * n + (v - 1): vec[i - 1]
                        for i in range(1, n + 1) if 1 <= (v := var_of(i)) <= n}
                       for vec, var_of in ((down, lambda i: i - 1), (up, lambda i: i + 1),
                                           (diag, lambda i: i))]
         spans = (gauss_rank(candidates, QQ) == 3 == full)
-    return SyzygyShapeReport(m, down, up, diag, down_nonzero, spans)
-
-
-def linear_syzygy_space_dim(F) -> int:
-    return groebner.linear_syzygies(list(F)).space_dim
-
-
-@dataclass
-class RegularSequenceReport:
-    m: int
-    sequence: list                  # variable indices tested, in test order
-    regular: list                   # per-element verdicts
-    first_failure: Optional[int]
-    verdict: str                    # consistent / counterexample / budget-exceeded
+    return {"down_shift": down, "up_shift": up, "diagonal": diag,
+            "down_nonzero": down_nonzero, "spans_space": spans}
 
 
 def regular_sequence_experiment(m: int, upto: Optional[int] = None,
                                 budget: Optional[GBBudget] = None,
-                                cache=None) -> RegularSequenceReport:
+                                cache=None) -> tuple:
     """Conjecture-class experiment: is {x_{m+3},..,x_{2m-1}} regular modulo the
-    generic gradient ideal?  Tested in reverse order by ideal quotients; never
-    raises on budget, returning a budget-exceeded verdict instead."""
+    generic gradient ideal?  Tested in reverse order by ideal quotients.
+
+    Returns ``(verdict, {"sequence", "regular", "first_failure"})``: the
+    variable indices in test order, the per-element verdicts, and the first
+    non-regular index.  The verdict is consistent, counterexample or, rather
+    than raising on budget, budget-exceeded."""
     data = gradient(m, 0)
     n = data.nvars
     seq = list(range(2 * m - 1, m + 2, -1))
@@ -523,6 +440,7 @@ def regular_sequence_experiment(m: int, upto: Optional[int] = None,
                 break
             current = Ideal(QQ, n, list(current.generators) + [x])
     except BudgetExceededError:
-        return RegularSequenceReport(m, seq, regular, first_failure, "budget-exceeded")
-    verdict = "consistent" if first_failure is None else "counterexample"
-    return RegularSequenceReport(m, seq, regular, first_failure, verdict)
+        verdict = "budget-exceeded"
+    else:
+        verdict = "consistent" if first_failure is None else "counterexample"
+    return verdict, {"sequence": seq, "regular": regular, "first_failure": first_failure}

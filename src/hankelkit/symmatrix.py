@@ -343,31 +343,14 @@ def phi_endomorphism(m: int, r: int) -> tuple:
     return tuple(i if i <= keep else None for i in range(1, 2 * m))
 
 
-@dataclass
-class GPReport:
-    """Result of the maximal-minor transfer check I_t(H_{s,.}[r]) = I_t(H_{t,.}[r])."""
+def gruson_peskine_check(s: int, t_size: int, n: int, r: int, field=QQ) -> dict:
+    """Verify the maximal-minor transfer I_t(H_{s,.}[r]) = I_t(H_{t,.}[r]):
+    the t-minors of the s-rowed and t-rowed Hankel shapes on the same
+    variables generate the same ideal.  Both sets are forms of degree t, so
+    the ideals are equal exactly when their degree-t coefficient spans are.
 
-    s: int
-    t: int
-    n: int
-    r: int
-    equal: bool
-    span_dims: tuple
-    counts: tuple
-
-    def as_dict(self) -> dict:
-        return {
-            "s": self.s, "t": self.t, "n": self.n, "r": self.r,
-            "equal": self.equal,
-            "span_dims": list(self.span_dims),
-            "generator_counts": list(self.counts),
-        }
-
-
-def gruson_peskine_check(s: int, t_size: int, n: int, r: int, field=QQ) -> GPReport:
-    """Verify that the t-minors of the s-rowed and t-rowed Hankel shapes on the
-    same variables generate the same ideal.  Both sets are forms of degree t,
-    so the ideals are equal exactly when their degree-t coefficient spans are."""
+    Returns {"s", "t", "n", "r", "equal", "span_dims", "generator_counts"},
+    the last two for the s-rowed and then the t-rowed shape."""
     if t_size > s:
         raise IndexRangeError("t must be at most s")
     big = hankel(HankelSpec(s, n - s + 1, r), field)
@@ -384,9 +367,10 @@ def gruson_peskine_check(s: int, t_size: int, n: int, r: int, field=QQ) -> GPRep
         span_small.insert(g.terms)
     equal = (span_big.dim == span_small.dim
              and all(span_big.contains(g.terms) for g in gens_small))
-    counts = tuple(len(Ideal(field, big.nvars, gens).generators)
-                   for gens in (gens_big, gens_small))
-    return GPReport(s, t_size, n, r, equal, (span_big.dim, span_small.dim), counts)
+    counts = [len(Ideal(field, big.nvars, gens).generators)
+              for gens in (gens_big, gens_small)]
+    return {"s": s, "t": t_size, "n": n, "r": r, "equal": equal,
+            "span_dims": [span_big.dim, span_small.dim], "generator_counts": counts}
 
 
 @dataclass

@@ -112,20 +112,20 @@ def test_degeneration_from_surviving_terms_matches_the_killed_full_hessian(field
 
 def test_closed_form_r0_single_candidate():
     form = gr.closed_form(4, 0)
-    (mono, options), = form.abs_coefficients.items()
+    (mono, options), = form.items()
     assert options == {72}
 
 
 def test_closed_form_m4_r0_matches_support():
     rep = gr.closed_form_check(4, 0)
-    assert rep.matches and rep.branch == "hard"
-    assert rep.computed == "72*x1*x3^9*x7^4"
+    assert rep["matches"] and rep["branch"] == "hard"
+    assert rep["computed"] == "72*x1*x3^9*x7^4"
 
 
 def test_closed_form_m5_r1_resolves_opposite_sign():
     rep = gr.closed_form_check(5, 1)
-    assert rep.matches and rep.branch == "hard"
-    assert rep.resolved_relative_sign == "opposite"
+    assert rep["matches"] and rep["branch"] == "hard"
+    assert rep["resolved_relative_sign"] == "opposite"
 
 
 def test_closed_form_rejects_pure_power_case():
@@ -135,22 +135,41 @@ def test_closed_form_rejects_pure_power_case():
 
 def test_closed_form_empirical_branch_flagged():
     rep = gr.closed_form_check(4, 1)
-    assert rep.branch == "empirical"
-    assert rep.matches
+    assert rep["branch"] == "empirical"
+    assert rep["matches"]
 
 
 def test_theta_check_values():
-    rep = gr.theta_check(3, 0)
-    assert rep.ok and rep.exponent == 4 and rep.scalar == 16
-    rep = gr.theta_check(3, 1)
-    assert rep.ok and rep.exponent == 4
-    rep = gr.theta_check(4, 1)
-    assert rep.ok and rep.exponent == 10
+    ok, rep = gr.theta_check(3, 0)
+    assert ok and rep["exponent"] == 4 and rep["scalar"] == "16"
+    ok, rep = gr.theta_check(3, 1)
+    assert ok and rep["exponent"] == 4
+    ok, rep = gr.theta_check(4, 1)
+    assert ok and rep["exponent"] == 10
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3), PrimeField(5)],
+                         ids=["QQ", "GF3", "GF5"])
+def test_theta_check_matches_the_full_hessian_route(field):
+    # reference: the block of the full n x n Hessian, killed after it is built
+    for m in range(3, 7):
+        for r in range(0, m - 1):
+            data = gr.hessian(m, r, field)
+            n = data.nvars
+            targets = [i if i <= m + 1 else None for i in range(1, n + 1)]
+            block = data.matrix.submatrix(range(1, m + 2), range(1, m + 2))
+            det = block.map_entries(lambda e: e.rename(n, targets)).determinant()
+            exponent = (m + 1) * (m - 2)
+            scalar = det.terms.get(tuple(exponent if i == m else 0 for i in range(n)))
+            expected = {"scalar": None if scalar is None else field.format(scalar),
+                        "exponent": exponent, "determinant": det.to_string()}
+            ok = len(det.terms) == 1 and scalar is not None
+            assert gr.theta_check(m, r, field) == (ok, expected), (m, r)
 
 
 def test_hessian_certificate_routes(rng):
-    cert = gr.hessian_nonzero_certificate(3, 0, rng)
-    assert cert.nonzero and cert.route == "degeneration"
+    nonzero, cert = gr.hessian_nonzero_certificate(3, 0, rng)
+    assert nonzero and cert["route"] == "degeneration"
 
 
 def test_fraction_det_helper():
@@ -168,8 +187,8 @@ def test_hessian_evaluation_is_over_the_field():
     # the evaluations must be read mod 3 (their rational determinant, -18 at
     # the first point, is no certificate) and the symbolic route decides
     import random
-    cert = gr.hessian_nonzero_certificate(4, 0, random.Random(0), PrimeField(3))
-    assert cert.route == "symbolic" and not cert.nonzero
+    nonzero, cert = gr.hessian_nonzero_certificate(4, 0, random.Random(0), PrimeField(3))
+    assert cert["route"] == "symbolic" and not nonzero
 
 
 def test_hessian_symbolic_fallback_is_budgeted():
@@ -188,14 +207,14 @@ def test_hessian_symbolic_fallback_is_budgeted():
 
 def test_cofactor_relations_small():
     rep = gr.cofactor_relations_check(4, 1)
-    assert rep.all_ok
-    assert rep.displayed_relations is not None
+    assert rep["all_ok"]
+    assert rep["displayed_relations"] is not None
     # the sum hits f exactly at the exceptional column j = m-k+2
-    assert rep.displayed_relations[(3, 3)] is True
+    assert rep["displayed_relations"][(3, 3)] is True
     rep = gr.cofactor_relations_check(3, 0)
-    assert rep.all_ok and rep.displayed_relations is not None
+    assert rep["all_ok"] and rep["displayed_relations"] is not None
     rep = gr.cofactor_relations_check(4, 0)
-    assert rep.all_ok and rep.displayed_relations is None
+    assert rep["all_ok"] and rep["displayed_relations"] is None
 
 
 def test_gradient_codim_table():
@@ -206,9 +225,9 @@ def test_gradient_codim_table():
 
 def test_minimal_primes_m4_r1():
     rep = gr.minimal_primes_checks(4, 1)
-    assert rep.in_q and rep.in_p and rep.codims_ok
-    assert rep.codim_q == 3 and rep.codim_p == 3
-    assert rep.radical_spot is True
+    assert rep["in_q"] and rep["in_p"] and rep["codims_ok"]
+    assert rep["codim_q"] == 3 and rep["codim_p"] == 3
+    assert rep["radical_spot"] is True
 
 
 def test_minimal_primes_requires_middle_r():
@@ -277,28 +296,29 @@ def test_killed_hessian_entry_patterns(m, r):
 @pytest.mark.parametrize("m", [3, 4, 5])
 def test_generic_syzygy_shapes(m):
     rep = gr.generic_syzygy_shape_check(m)
-    assert rep.ok()
+    assert None not in (rep["down_shift"], rep["up_shift"], rep["diagonal"])
+    assert rep["down_nonzero"]
     n = 2 * m - 1
-    assert rep.down_shift[0] == 0
-    assert all(rep.down_shift[i] != 0 for i in range(1, n))
-    assert rep.up_shift[-1] == 0
-    assert rep.spans_space
+    assert rep["down_shift"][0] == 0
+    assert all(rep["down_shift"][i] != 0 for i in range(1, n))
+    assert rep["up_shift"][-1] == 0
+    assert rep["spans_space"]
 
 
 def test_regular_sequence_vacuous_at_m3():
-    rep = gr.regular_sequence_experiment(3)
-    assert rep.sequence == [] and rep.verdict == "consistent"
+    verdict, rep = gr.regular_sequence_experiment(3)
+    assert rep["sequence"] == [] and verdict == "consistent"
 
 
 def test_regular_sequence_m4():
-    rep = gr.regular_sequence_experiment(4)
-    assert rep.sequence == [7]
-    assert rep.verdict in ("consistent", "counterexample", "budget-exceeded")
-    assert rep.verdict == "consistent"
+    verdict, rep = gr.regular_sequence_experiment(4)
+    assert rep["sequence"] == [7]
+    assert verdict in ("consistent", "counterexample", "budget-exceeded")
+    assert verdict == "consistent"
 
 
 def test_regular_sequence_m5():
-    rep = gr.regular_sequence_experiment(5)
-    assert rep.sequence == [9, 8]
-    assert rep.verdict in ("consistent", "counterexample", "budget-exceeded")
-    assert rep.verdict == "consistent"
+    verdict, rep = gr.regular_sequence_experiment(5)
+    assert rep["sequence"] == [9, 8]
+    assert verdict in ("consistent", "counterexample", "budget-exceeded")
+    assert verdict == "consistent"

@@ -369,9 +369,9 @@ def test_kernel_rejects_mixed_degrees():
 
 def test_linear_syzygies_of_koszul_pair():
     # (x2, -x1) is the only linear syzygy of [x1, x2]
-    rep = gb.linear_syzygies([x(1, 2), x(2, 2)])
-    assert rep.space_dim == 1 and rep.linear_rank == 1
-    lam = rep.syzygies[0]
+    rank, syzygies = gb.linear_syzygies([x(1, 2), x(2, 2)])
+    assert len(syzygies) == 1 and rank == 1
+    lam = syzygies[0]
     assert lam[0] * x(1, 2) + lam[1] * x(2, 2) == Polynomial.zero(QQ, 2)
 
 
@@ -380,10 +380,10 @@ def test_linear_rank_values(rng):
              (4, 1, PrimeField(3), 3)]
     for m, r, field, expect in cells:
         _, _, J = gradient_ideal(m, r, field)
-        rep = gb.linear_syzygies(list(J.generators))
-        assert rep.linear_rank == expect, (m, r, field)
+        rank, syzygies = gb.linear_syzygies(list(J.generators))
+        assert rank == expect, (m, r, field)
         # every syzygy annihilates the generators
-        for syz in rep.syzygies:
+        for syz in syzygies:
             total = Polynomial.zero(field, J.nvars)
             for form, g in zip(syz, J.generators):
                 total = total + form * g
@@ -391,56 +391,64 @@ def test_linear_rank_values(rng):
         # specialising the forms at a point cannot raise the rank
         point = [rng.randint(2, 97) for _ in range(J.nvars)]
         numeric = [{j: form.evaluate(point) for j, form in enumerate(syz)}
-                   for syz in rep.syzygies]
-        assert gauss_rank(numeric, field) <= rep.linear_rank, (m, r, field)
+                   for syz in syzygies]
+        assert gauss_rank(numeric, field) <= rank, (m, r, field)
 
 
 def test_linear_rank_invariant_under_generator_shuffle(rng):
     _, _, J = gradient_ideal(4, 1)
     gens = list(J.generators)
-    rep = gb.linear_syzygies(gens)
+    rank, syzygies = gb.linear_syzygies(gens)
     shuffled = gens[:]
     rng.shuffle(shuffled)
-    rep2 = gb.linear_syzygies(shuffled)
-    assert rep.linear_rank == rep2.linear_rank
-    assert rep.space_dim == rep2.space_dim
+    rank2, syzygies2 = gb.linear_syzygies(shuffled)
+    assert rank == rank2
+    assert len(syzygies) == len(syzygies2)
 
 
 # -- reduction ---------------------------------------------------------------------
 
 def assert_products_inside_powers(J, I, rep):
     """At each reported step n, span(J I^n) lies inside span(I^(n+1)) and has
-    the reported dimensions."""
+    the reported dimensions; where the step has at most 80 generator
+    products, the Groebner route (ideal_equal) agrees with its ``equal``.
+    Returns the number of steps the Groebner route checked."""
     fld = I.field
     power_basis = [Polynomial.one(fld, I.nvars)]
-    for step in rep.steps:
+    checked = 0
+    for step in rep["steps"]:
+        products = [w * f for w in power_basis for f in J.generators]
+        powers = [w * g for w in power_basis for g in I.generators]
         product = SpanEchelon(fld)
         power = SpanEchelon(fld)
-        for w in power_basis:
-            for f in J.generators:
-                product.insert((w * f).terms)
-            for g in I.generators:
-                power.insert((w * g).terms)
-        assert all(power.contains(row) for row in product.basis_rows()), step.n
-        assert (product.dim, power.dim) == (step.dim_product, step.dim_power)
+        for q in products:
+            product.insert(q.terms)
+        for q in powers:
+            power.insert(q.terms)
+        assert all(power.contains(row) for row in product.basis_rows()), step["n"]
+        assert (product.dim, power.dim) == (step["dim_product"], step["dim_power"])
+        if len(products) + len(powers) <= 80:
+            assert gb.ideal_equal(Ideal(fld, I.nvars, products),
+                                  Ideal(fld, I.nvars, powers)) == step["equal"], step["n"]
+            checked += 1
         power_basis = [Polynomial(fld, I.nvars, row) for row in power.basis_rows()]
+    return checked
 
 
 def test_reduction_number_generic_m3():
     h, f, J = gradient_ideal(3, 0)
     I = Ideal(QQ, 5, [mn.value for mn in h.minors(2)])
     rep = gb.reduction_check(J, I, 3)
-    assert rep.contained
-    assert_products_inside_powers(J, I, rep)
-    assert rep.reduction_number == 1
-    assert rep.steps[0].equal is False  # J itself is not I
-    assert any(s.groebner_checked for s in rep.steps)
+    assert rep["contained"]
+    assert assert_products_inside_powers(J, I, rep) > 0
+    assert rep["reduction_number"] == 1
+    assert rep["steps"][0]["equal"] is False  # J itself is not I
 
 
 def test_reduction_trivial_when_equal():
     ideal = minor_ideal(3, 0, 2)
     rep = gb.reduction_check(ideal, ideal, 2)
-    assert rep.reduction_number == 0
+    assert rep["reduction_number"] == 0
     assert_products_inside_powers(ideal, ideal, rep)
 
 
@@ -448,8 +456,8 @@ def test_no_reduction_for_middle_degeneration():
     h, f, J = gradient_ideal(4, 1)
     P = Ideal(QQ, 6, [mn.value for mn in h.minors(3)])
     rep = gb.reduction_check(J, P, 2)
-    assert rep.contained
-    assert rep.reduction_number is None
+    assert rep["contained"]
+    assert rep["reduction_number"] is None
     assert_products_inside_powers(J, P, rep)
 
 
@@ -458,7 +466,7 @@ def test_reduction_requires_containment():
     J = Ideal(QQ, n, [x(1, n)])
     I = Ideal(QQ, n, [x(2, n)])
     rep = gb.reduction_check(J, I, 1)
-    assert not rep.contained and rep.reduction_number is None
+    assert not rep["contained"] and rep["reduction_number"] is None
 
 
 quadrics = st.dictionaries(
@@ -483,7 +491,7 @@ def test_reduction_containment_agrees_with_groebner_membership(i_gens, stray, st
     J = Ideal(field, 3, [I.generators[0], total])
     basis = gb.buchberger(I)
     expected = all(gb.reduces_to_zero(g, basis) for g in J.generators)
-    assert gb.reduction_check(J, I, 0).contained == expected
+    assert gb.reduction_check(J, I, 0)["contained"] == expected
 
 
 # -- randomized engine cross-validation -----------------------------------------------

@@ -30,6 +30,12 @@ def test_reports_are_tracked():
     assert len(REPORTS) >= 28
 
 
+def test_every_command_has_a_tracked_report():
+    # so that the byte-identity check below covers every command's witness
+    checks = {json.loads(path.read_text())["result"]["check"] for path in REPORTS}
+    assert set(cli.COMMANDS) - checks == set()
+
+
 @pytest.mark.parametrize("path", REPORTS, ids=lambda p: p.relative_to(RESULTS).as_posix())
 def test_tracked_report_rederives(path):
     stored = json.loads(path.read_text())["result"]
