@@ -10,13 +10,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice, product
-from math import factorial
+from math import factorial, lcm
 from typing import Optional
 
 from . import groebner
 from .groebner import BudgetExceededError, GBBudget, Ideal
 from .linalg import coefficient_rows, det, gauss_rank, nullspace
-from .polyring import DEGREVLEX, IndexRangeError, Polynomial, QQ
+from .polyring import (DEGREVLEX, IndexRangeError, Polynomial, QQ, _kernel_equal, _mul_add,
+                       _settle, _to_kernel, packing)
 from .symmatrix import SymMatrix, _blocks, hankel_square
 
 
@@ -46,6 +47,13 @@ class GradientData:
     def nvars(self) -> int:
         return self.matrix.nvars
 
+    @cached_property
+    def kernel_partials(self) -> list:
+        """Each partial as kernel (terms, scale) on the degrevlex packing,
+        encoded once for both checks."""
+        pk = packing(DEGREVLEX, self.nvars)
+        return [_to_kernel(fk, pk) for fk in self.partials]
+
     def ideal(self) -> Ideal:
         return Ideal(self.f.field, self.nvars, list(self.partials))
 
@@ -60,25 +68,44 @@ def gradient(m: int, r: int, field=QQ) -> GradientData:
 
 def cofactor_decomposition_check(data: GradientData) -> dict:
     """f_k must equal the sum of the signed cofactors of every slot holding
-    x_k, i.e. the slots (i, j) with i + j = k + 1; the cofactors are summed
-    as one shared expansion streams them."""
-    zero = Polynomial.zero(data.f.field, data.nvars)
+    x_k, i.e. the slots (i, j) with i + j = k + 1: the verdict per k, keyed
+    by str(k).  The (n-1) x (n-1) minors are summed in kernel form as one
+    shared expansion streams them, grouped by their scale."""
+    p = data.f.field.characteristic
+    n = data.matrix.rows
+    total = n * (n + 1) // 2
     sums: dict = {}
-    for i, j, c in data.matrix.cofactors():
-        k = i + j - 1
-        sums[k] = sums.get(k, zero) + c
-    verdicts = {k: sums[k] == fk for k, fk in enumerate(data.partials, start=1)}
-    return {"m": data.m, "r": data.r, "per_k": verdicts,
-            "all_equal": all(verdicts.values())}
+    for rows, cols, terms, scale in data.matrix._kernel_minors(n - 1):
+        # the one row and the one column the minor leaves out
+        i, j = total - sum(rows), total - sum(cols)
+        group = sums.setdefault(i + j - 1, {}).setdefault(scale, {})
+        _mul_add(group, terms, {0: -1 if (i + j) % 2 else 1})    # key 0: the monomial 1
+    verdicts = {}
+    for k, (fk, scale) in enumerate(data.kernel_partials, start=1):
+        groups = sums.get(k, {})
+        common = lcm(*groups)
+        acc: dict = {}
+        for s, group in groups.items():
+            _mul_add(acc, group, {0: common // s})
+        verdicts[str(k)] = _kernel_equal(_settle(acc, p), common, fk, scale)
+    return verdicts
 
 
 def euler_identity_check(data: GradientData) -> bool:
-    """f is homogeneous of degree m, so sum_k x_k f_k must equal m f."""
+    """f is homogeneous of degree m, so sum_k x_k f_k must equal m f: each
+    partial's kernel keys shifted by the key of x_k, over a common scale."""
     f, n = data.f, data.nvars
-    total = Polynomial.zero(f.field, n)
-    for k, fk in enumerate(data.partials, start=1):
-        total = total + Polynomial.variable(f.field, n, k) * fk
-    return total == f.scale(data.m)
+    p = f.field.characteristic
+    pk = packing(DEGREVLEX, n)
+    partials = data.kernel_partials
+    common = lcm(*(scale.numerator for _, scale in partials))
+    acc: dict = {}
+    for k, (fk, scale) in enumerate(partials):
+        x_k = pk.encode(tuple(int(i == k) for i in range(n)))
+        _mul_add(acc, fk, {x_k: common // scale})
+    terms, scale = _to_kernel(f, pk)
+    return _kernel_equal(_settle(acc, p), common,
+                         _settle({key: c * data.m for key, c in terms.items()}, p), scale)
 
 
 @dataclass
@@ -384,7 +411,7 @@ def generic_syzygy_shape_check(m: int) -> dict:
         # var_of(i) = None forces lambda_i = 0
         columns = [i for i in range(1, n + 1) if var_of(i) is not None]
         polys = [F[i - 1].mul_term(unit(var_of(i)), 1) for i in columns]
-        kernel = nullspace(coefficient_rows(polys), len(columns), QQ)
+        kernel = nullspace(coefficient_rows([p.terms for p in polys]), len(columns), QQ)
         if len(kernel) != 1:
             return None
         out = [QQ.zero()] * n

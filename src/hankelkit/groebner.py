@@ -55,9 +55,11 @@ from .polyring import (  # MAX_DEGREE is re-exported: groebner.MAX_DEGREE
     Polynomial,
     QQ,
     _from_kernel,
+    _kernel_mul,
     _lcm,
     _overflow,
     _to_kernel,
+    _unscaled,
     packing,
 )
 
@@ -662,10 +664,13 @@ def linear_syzygies(F: Sequence[Polynomial]) -> tuple:
         if f.is_zero() or not f.is_homogeneous() or f.total_degree() != d:
             raise PolyError("generators must be homogeneous of one degree")
     g = len(F)
-    # column i*n + j holds x_j * F_i
+    # column i*n + j holds x_j * F_i: F_i's kernel keys plus the key of x_j
+    pk = packing(DEGREVLEX, n)
     units = [tuple(int(jj == j) for jj in range(n)) for j in range(n)]
-    columns = [f.mul_term(e, 1) for f in F for e in units]
-    kernel = nullspace(coefficient_rows(columns), len(columns), fld)
+    shifts = [pk.encode(e) for e in units]
+    columns = [{k + x_j: c for k, c in terms.items()}
+               for terms in (_unscaled(*_to_kernel(f, pk)) for f in F) for x_j in shifts]
+    kernel = nullspace(coefficient_rows(columns, pk.decode), len(columns), fld)
     syzygies = [tuple(Polynomial(fld, n, {e: vec[i * n + j] for j, e in enumerate(units)})
                       for i in range(g))
                 for vec in kernel]
@@ -691,29 +696,35 @@ def reduction_check(J: Ideal, I: Ideal, nmax: int) -> dict:
     if dJ != dI:
         raise PolyError("J and I must share their generation degree")
     fld = I.field
+    p = fld.characteristic
+    # every span holds kernel rows on the degrevlex packing: generators are
+    # encoded once, with their true coefficients, and products stay packed
+    pk = packing(DEGREVLEX, I.nvars)
+    gens_i = [_unscaled(*_to_kernel(g, pk)) for g in I.generators]
+    gens_j = [_unscaled(*_to_kernel(g, pk)) for g in J.generators]
 
-    def span_of(polys):
+    def span_of(rows):
         span = SpanEchelon(fld)
-        for q in polys:
-            span.insert(q.terms)
+        for row in rows:
+            span.insert(row)
         return span
 
     # I_d is the span of I's generators, so J lies in I iff each of its
     # degree-d generators lies in that span
-    span_i = span_of(I.generators)
-    if not all(span_i.contains(g.terms) for g in J.generators):
+    span_i = span_of(gens_i)
+    if not all(span_i.contains(g) for g in gens_j):
         return {"contained": False, "reduction_number": None, "steps": []}
 
-    def basis_polys(span):
-        return [Polynomial(fld, I.nvars, row) for row in span.basis_rows()]
-
-    # power_basis spans (I^n) in its generation degree; n = 0 starts at k itself
-    power_basis = [Polynomial.one(fld, I.nvars)]
+    # power_basis spans (I^n) in its generation degree; n = 0 starts at k
+    # itself, whose one row is the monomial 1 (key 0)
+    power_basis = [{0: 1}]
     steps = []
     result = None
     for n in range(nmax + 1):
-        power_span = span_of(w * g for w in power_basis for g in I.generators)
-        product_span = span_of(w * f for w in power_basis for f in J.generators)
+        if (n + 1) * dI > MAX_DEGREE:
+            raise _overflow()
+        power_span = span_of(_kernel_mul(w, g, p) for w in power_basis for g in gens_i)
+        product_span = span_of(_kernel_mul(w, f, p) for w in power_basis for f in gens_j)
         # J in I (proved above) puts J I^n inside I^(n+1): equal dims, equal spans
         equal = product_span.dim == power_span.dim
         steps.append({"n": n, "dim_product": product_span.dim,
@@ -721,7 +732,7 @@ def reduction_check(J: Ideal, I: Ideal, nmax: int) -> dict:
         if equal:
             result = n
             break
-        power_basis = basis_polys(power_span)
+        power_basis = power_span.basis_rows()
     return {"contained": True, "reduction_number": result, "steps": steps}
 
 

@@ -3,8 +3,9 @@ rank, nullspace, solve and determinant, plus fraction-free polynomial rank.
 
 Matrices are sparse rows {column: entry}.  ``coefficient_rows`` is the one
 place a family of polynomials becomes such a matrix (a row per monomial, a
-column per polynomial), so every linear relation among polynomials is a
-``nullspace`` or ``solve_consistent`` of its rows.  Everything here is exact;
+column per polynomial, given as exponent-tuple terms or as packed kernel
+terms), so every linear relation among polynomials is a ``nullspace`` or
+``solve_consistent`` of its rows.  Everything here is exact;
 the rationals go through integer-primitive rows to keep big-integer growth in
 check.
 """
@@ -161,15 +162,17 @@ def span_dimension(polys: Sequence[Polynomial], field=None) -> int:
     return span.dim
 
 
-def coefficient_rows(polys: Sequence[Polynomial]) -> list:
+def coefficient_rows(columns: Sequence[dict], decode=None) -> list:
     """The coefficient matrix of a family of polynomials as sparse rows: one
     row {column: coefficient} per monomial, in increasing exponent order,
-    where column i holds the coefficients of polys[i]."""
+    where column i holds the coefficients ``columns[i]``: a dict keyed by
+    exponent tuples (``Polynomial.terms``) or, given a packing's ``decode``,
+    by its kernel keys."""
     rows: dict = {}
-    for col, p in enumerate(polys):
-        for mono, c in p.terms.items():
+    for col, terms in enumerate(columns):
+        for mono, c in terms.items():
             rows.setdefault(mono, {})[col] = c
-    return [rows[mono] for mono in sorted(rows)]
+    return [rows[mono] for mono in sorted(rows, key=decode)]
 
 
 def _column_echelon(rows, field) -> SpanEchelon:

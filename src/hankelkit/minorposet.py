@@ -11,13 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 from typing import Optional
 
 from . import groebner
 from .groebner import BudgetExceededError, GBBudget
 from .linalg import SpanEchelon, coefficient_rows, nullspace, solve_consistent
-from .polyring import DEGREVLEX, IndexRangeError, PolyError, Polynomial, QQ
+from .polyring import (DEGREVLEX, IndexRangeError, PolyError, Polynomial, QQ, _kernel_mul,
+                       _to_kernel, _unscaled, packing)
 from .symmatrix import HankelSpec, SymMatrix, hankel, hankel_square
 
 Bracket = tuple
@@ -102,7 +103,7 @@ def _level_coefficients(minors: dict, fk: Polynomial, m: int, k: int, field) -> 
     solved on monomial coefficients."""
     level = 2 * m - k
     members = [b for b in brackets(m) if bracket_level(b, m) == level]
-    sol = solve_consistent(coefficient_rows([minors[b] for b in members] + [fk]),
+    sol = solve_consistent(coefficient_rows([minors[b].terms for b in members] + [fk.terms]),
                            len(members), field)
     if sol is None:
         raise LevelDecompositionError(
@@ -220,7 +221,8 @@ def pluecker_step_identities(m: int, field=QQ) -> dict:
     lhs = minors[delta] * minors[delta_p]
     term_a = minors[bracket_a] * f2
     term_b = minors[bracket_b] * f1
-    sol = solve_consistent(coefficient_rows([term_a, term_b, lhs]), 2, field)
+    sol = solve_consistent(coefficient_rows([term_a.terms, term_b.terms, lhs.terms]), 2,
+                           field)
     product_ok = sol is not None
     c1, c2 = sol if sol else (field.zero(), field.zero())
     if product_ok:
@@ -248,17 +250,28 @@ def pluecker_step_identities(m: int, field=QQ) -> dict:
             "displayed_m3_identity": displayed}
 
 
-def _relation_space(minor_list: list, degree: int, field=QQ) -> list:
-    """Exact basis of the degree-d part of the kernel of t_i -> minor_i,
-    as vectors over the degree-d tag monomials (combination order)."""
-    combos = list(combinations_with_replacement(range(len(minor_list)), degree))
-    products = []
-    for combo in combos:
-        prod = minor_list[combo[0]]
-        for idx in combo[1:]:
-            prod = prod * minor_list[idx]
-        products.append(prod)
-    return nullspace(coefficient_rows(products), len(combos), field), combos
+def _relation_spaces(minor_list: list, field=QQ) -> list:
+    """Exact bases of the degree-2 and degree-3 parts of the kernel of
+    t_i -> minor_i: per degree d, (vectors over the degree-d tag monomials,
+    those monomials as index combos in combination order).
+
+    Each minor is encoded once, and each product of degree d is its
+    degree-(d-1) prefix times one more minor on the packed kernel; a column
+    holds the product's true coefficients (its kernel terms over its
+    scale), and its rows come in exponent-tuple order."""
+    pk = packing(DEGREVLEX, minor_list[0].nvars)
+    p = field.characteristic
+    factors = [_to_kernel(mn, pk) for mn in minor_list]
+    products = {(i,): factor for i, factor in enumerate(factors)}
+    spaces = []
+    for _ in range(2):
+        products = {combo + (i,): (_kernel_mul(terms, factors[i][0], p), scale * factors[i][1])
+                    for combo, (terms, scale) in products.items()
+                    for i in range(combo[-1], len(factors))}
+        columns = [_unscaled(terms, scale) for terms, scale in products.values()]
+        spaces.append((nullspace(coefficient_rows(columns, pk.decode), len(columns), field),
+                       list(products)))
+    return spaces
 
 
 def fiber_kernel_compare(m: int, r: int, field=QQ,
@@ -288,8 +301,8 @@ def fiber_kernel_compare(m: int, r: int, field=QQ,
     minor_list = [minors[b] for b in bracket_list]
     tags = len(bracket_list)
 
-    (quad_kernel, quad_combos) = _relation_space(minor_list, 2, field)
-    (cubic_kernel, cubic_combos) = _relation_space(minor_list, 3, field)
+    (quad_kernel, quad_combos), (cubic_kernel, cubic_combos) = \
+        _relation_spaces(minor_list, field)
     # tag multiples t * q need no sums: for a fixed t, combo -> sorted(combo
     # + (t,)) is one-to-one on the quadric combos
     cubic_span = SpanEchelon(field)

@@ -15,7 +15,10 @@ a monomial is a single int whose comparison is a monomial order and whose
 product is ``+``, with integer coefficients (cleared denominators over the
 rationals, residues over GF(p)).  Products, the determinants of
 ``symmatrix`` and the Groebner engine convert to it once and back once; a
-block degree above ``MAX_DEGREE`` raises BudgetExceededError.
+block degree above ``MAX_DEGREE`` raises BudgetExceededError.  Work whose
+result is only counted, compared or fed to an echelon can stay there: a
+kernel polynomial is ``terms / scale`` (see ``_to_kernel``), and
+``_unscaled`` reads its true coefficients without decoding a monomial.
 
 The canonical text form (used for fixtures and reports) is:
 signed terms joined by ``+``/``-``, each term ``c`` or ``c*x<i>^<e>*...`` with
@@ -427,19 +430,36 @@ def _to_kernel(p: Polynomial, pk: MonomialPacking) -> tuple:
     return terms, Fraction(den, content or 1)
 
 
-def _from_kernel(terms: dict, pk: MonomialPacking, field, nvars: int,
-                 scale=1) -> Polynomial:
-    """The polynomial ``terms / scale``."""
-    decode = pk.decode
+def _unscaled(terms: dict, scale) -> dict:
+    """The coefficients of the polynomial ``terms / scale``, still keyed by
+    kernel keys (``terms`` itself when the scale is 1)."""
     if scale == 1:
-        return Polynomial(field, nvars, {decode(k): c for k, c in terms.items()},
-                          _trusted=True)
+        return terms
     num, den = scale.numerator, scale.denominator
     out = {}
     for k, c in terms.items():
         q, rem = divmod(c * den, num)
-        out[decode(k)] = Fraction(c * den, num) if rem else q
-    return Polynomial(field, nvars, out, _trusted=True)
+        out[k] = Fraction(c * den, num) if rem else q
+    return out
+
+
+def _from_kernel(terms: dict, pk: MonomialPacking, field, nvars: int,
+                 scale=1) -> Polynomial:
+    """The polynomial ``terms / scale``."""
+    decode = pk.decode
+    return Polynomial(field, nvars,
+                      {decode(k): c for k, c in _unscaled(terms, scale).items()},
+                      _trusted=True)
+
+
+def _kernel_equal(a: dict, scale_a, b: dict, scale_b) -> bool:
+    """Whether the settled kernel terms ``a / scale_a`` and ``b / scale_b``
+    are one polynomial; over GF(p) every scale is 1."""
+    if scale_a == scale_b:
+        return a == b
+    fa, fb = Fraction(scale_a), Fraction(scale_b)
+    u, v = fb.numerator * fa.denominator, fa.numerator * fb.denominator
+    return a.keys() == b.keys() and all(c * u == b[k] * v for k, c in a.items())
 
 
 def _degrevlex_lead(terms) -> tuple:
@@ -464,6 +484,13 @@ def _settle(acc: dict, p: int) -> dict:
     if p:
         return {k: v for k, c in acc.items() if (v := c % p)}
     return {k: c for k, c in acc.items() if c}
+
+
+def _kernel_mul(a: dict, b: dict, p: int) -> dict:
+    """The settled product of two kernel term dicts."""
+    acc: dict = {}
+    _mul_add(acc, a, b)
+    return _settle(acc, p)
 
 
 # ---------------------------------------------------------------------------
@@ -611,9 +638,7 @@ class Polynomial:
         # one degrevlex block: its top field is the total degree
         if pk.degree(max(a)) + pk.degree(max(b)) > MAX_DEGREE:
             raise _overflow()
-        acc: dict = {}
-        _mul_add(acc, a, b)
-        return _from_kernel(_settle(acc, fld.characteristic), pk, fld, self.nvars,
+        return _from_kernel(_kernel_mul(a, b, fld.characteristic), pk, fld, self.nvars,
                             scale_a * scale_b)
 
     def scale(self, value) -> "Polynomial":

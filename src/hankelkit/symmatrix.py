@@ -1,9 +1,10 @@
 """Symbolic matrices with Hankel/degeneration builders, exact minors, and the
 block partitions used by the gradient analysis.
 
-Every minor comes from one shared expansion (``SymMatrix._expand_minors``):
+Every minor comes from one shared expansion (``SymMatrix._kernel_minors``):
 a single memoized pass on the packed kernel of ``polyring`` that yields all
-t x t minors of a matrix.  The determinant is its t = n case, ``minors(t)``
+t x t minors of a matrix as kernel terms, which ``_expand_minors`` decodes for
+callers that want polynomials.  The determinant is its t = n case, ``minors(t)``
 lists one pass, and ``cofactors``/``adjugate`` read all n^2 cofactors from
 one pass over the (n-1) x (n-1) minors.
 
@@ -148,7 +149,16 @@ class SymMatrix:
 
     def _expand_minors(self, t: int, max_terms: Optional[int] = None):
         """Every t x t minor as a :class:`Minor`, in lexicographic order of
-        (rows, cols), from one memoized expansion on the packed kernel.
+        (rows, cols), decoded from :meth:`_kernel_minors`."""
+        pk = packing(DEGREVLEX, self.nvars)
+        for rows, cols, terms, scale in self._kernel_minors(t, max_terms):
+            yield Minor(rows, cols, _from_kernel(terms, pk, self.field, self.nvars, scale))
+
+    def _kernel_minors(self, t: int, max_terms: Optional[int] = None):
+        """(rows, cols, terms, scale) for every t x t minor, 1-based, in
+        lexicographic order of (rows, cols), from one memoized expansion on
+        the packed kernel: the minor is ``terms / scale``, with ``terms`` on
+        the degrevlex packing of the matrix's ring.
 
         The entries are converted once to kernel terms (degrevlex keys,
         products by ``+``) with integer coefficients: over QQ each row scaled
@@ -159,15 +169,14 @@ class SymMatrix:
         R without that row; zero entries are skipped.  Only row subsets that
         extend to a t-subset are built, each table once, and a table is kept
         only while a row subset built on it is pending: the t x t minors
-        themselves are converted and yielded one at a time, so the caller
+        themselves are yielded one at a time, so the caller
         holds only what it keeps.  A degree bound (the sum of the t largest
         row degrees) above ``MAX_DEGREE`` raises BudgetExceededError before
         the expansion starts.  With ``max_terms``, the term products of the
         expansion (terms of the entry times terms of the minor, summed) are
         capped: BudgetExceededError.
         """
-        fld = self.field
-        p = fld.characteristic
+        p = self.field.characteristic
         pk = packing(DEGREVLEX, self.nvars)
         rows = []       # per row: (terms, negated terms) of each entry
         scales = []     # per row: the factor its kernel terms carry
@@ -219,9 +228,7 @@ class SymMatrix:
                 scale = prod(scales[i] for i in rset)
                 rkey = tuple(i + 1 for i in rset)
                 for cols in combinations(range(self.cols), t):
-                    yield Minor(rkey, tuple(j + 1 for j in cols),
-                                _from_kernel(expand(rset, cols, prev), pk, fld,
-                                             self.nvars, scale))
+                    yield rkey, tuple(j + 1 for j in cols), expand(rset, cols, prev), scale
                 continue
             table = {cols: expand(rset, cols, prev)
                      for cols in combinations(range(self.cols), size)}

@@ -150,8 +150,9 @@ def test_gradient_command_checks_once(monkeypatch):
                         lambda data: calls.append(data) or check(data))
     code, out = run_cli(["gradient", "--m", "3", "--r", "1"])
     assert code == 0 and len(calls) == 1
-    assert report_of(out)["result"]["witness"]["cofactor_decomposition"] == {
-        "1": True, "2": True, "3": True, "4": True}
+    # the check's own map is the witness entry, passed through as it is
+    decomposition = report_of(out)["result"]["witness"]["cofactor_decomposition"]
+    assert decomposition == check(calls[0]) == {"1": True, "2": True, "3": True, "4": True}
 
 
 def test_exit_code_budget_exceeded():

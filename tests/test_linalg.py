@@ -245,7 +245,7 @@ def _combine(field, coeffs, polys):
 @given(polynomial_families())
 def test_coefficient_rows_give_the_relations_of_a_family(case):
     field, polys, coeffs = case
-    rows = coefficient_rows(polys)
+    rows = coefficient_rows([p.terms for p in polys])
     # one row per monomial in increasing exponent order; column i is polys[i]
     monomials = sorted(set().union(*(p.terms for p in polys)))
     assert rows == [{i: p.terms[mu] for i, p in enumerate(polys) if mu in p.terms}
@@ -255,5 +255,6 @@ def test_coefficient_rows_give_the_relations_of_a_family(case):
     for vec in basis:
         assert _combine(field, vec, polys).is_zero()
     target = _combine(field, coeffs, polys)
-    sol = solve_consistent(coefficient_rows(polys + [target]), len(polys), field)
+    sol = solve_consistent(coefficient_rows([p.terms for p in polys + [target]]), len(polys),
+                           field)
     assert sol is not None and _combine(field, sol, polys) == target
