@@ -10,14 +10,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice, product
-from math import factorial, lcm
+from math import factorial
 from typing import Optional
 
 from . import groebner
 from .groebner import BudgetExceededError, GBBudget, Ideal
 from .linalg import coefficient_rows, det, gauss_rank, nullspace
-from .polyring import (DEGREVLEX, IndexRangeError, Polynomial, QQ, _kernel_equal, _mul_add,
-                       _settle, _to_kernel, packing)
+from .polyring import (DEGREVLEX, IndexRangeError, Polynomial, QQ, _kernel_terms, _mul_add,
+                       _settle, packing)
 from .symmatrix import SymMatrix, _blocks, hankel_square
 
 
@@ -49,10 +49,10 @@ class GradientData:
 
     @cached_property
     def kernel_partials(self) -> list:
-        """Each partial as kernel (terms, scale) on the degrevlex packing,
-        encoded once for both checks."""
+        """Each partial as kernel terms on the degrevlex packing, encoded
+        once for both checks."""
         pk = packing(DEGREVLEX, self.nvars)
-        return [_to_kernel(fk, pk) for fk in self.partials]
+        return [_kernel_terms(fk, pk) for fk in self.partials]
 
     def ideal(self) -> Ideal:
         return Ideal(self.f.field, self.nvars, list(self.partials))
@@ -70,42 +70,31 @@ def cofactor_decomposition_check(data: GradientData) -> dict:
     """f_k must equal the sum of the signed cofactors of every slot holding
     x_k, i.e. the slots (i, j) with i + j = k + 1: the verdict per k, keyed
     by str(k).  The (n-1) x (n-1) minors are summed in kernel form as one
-    shared expansion streams them, grouped by their scale."""
+    shared expansion streams them."""
     p = data.f.field.characteristic
     n = data.matrix.rows
     total = n * (n + 1) // 2
     sums: dict = {}
-    for rows, cols, terms, scale in data.matrix._kernel_minors(n - 1):
+    for rows, cols, terms in data.matrix._kernel_minors(n - 1):
         # the one row and the one column the minor leaves out
         i, j = total - sum(rows), total - sum(cols)
-        group = sums.setdefault(i + j - 1, {}).setdefault(scale, {})
-        _mul_add(group, terms, {0: -1 if (i + j) % 2 else 1})    # key 0: the monomial 1
-    verdicts = {}
-    for k, (fk, scale) in enumerate(data.kernel_partials, start=1):
-        groups = sums.get(k, {})
-        common = lcm(*groups)
-        acc: dict = {}
-        for s, group in groups.items():
-            _mul_add(acc, group, {0: common // s})
-        verdicts[str(k)] = _kernel_equal(_settle(acc, p), common, fk, scale)
-    return verdicts
+        _mul_add(sums.setdefault(i + j - 1, {}), terms,
+                 {0: -1 if (i + j) % 2 else 1})    # key 0: the monomial 1
+    return {str(k): _settle(sums.get(k, {}), p) == fk
+            for k, fk in enumerate(data.kernel_partials, start=1)}
 
 
 def euler_identity_check(data: GradientData) -> bool:
     """f is homogeneous of degree m, so sum_k x_k f_k must equal m f: each
-    partial's kernel keys shifted by the key of x_k, over a common scale."""
+    partial's kernel keys shifted by the key of x_k."""
     f, n = data.f, data.nvars
     p = f.field.characteristic
     pk = packing(DEGREVLEX, n)
-    partials = data.kernel_partials
-    common = lcm(*(scale.numerator for _, scale in partials))
     acc: dict = {}
-    for k, (fk, scale) in enumerate(partials):
-        x_k = pk.encode(tuple(int(i == k) for i in range(n)))
-        _mul_add(acc, fk, {x_k: common // scale})
-    terms, scale = _to_kernel(f, pk)
-    return _kernel_equal(_settle(acc, p), common,
-                         _settle({key: c * data.m for key, c in terms.items()}, p), scale)
+    for k, fk in enumerate(data.kernel_partials):
+        _mul_add(acc, fk, {pk.encode(tuple(int(i == k) for i in range(n))): 1})
+    m_f = {key: c * data.m for key, c in _kernel_terms(f, pk).items()}
+    return _settle(acc, p) == _settle(m_f, p)
 
 
 @dataclass
@@ -253,10 +242,8 @@ def closed_form_check(m: int, r: int) -> dict:
             matches = False
             break
         if len(options) > 1:
-            a = r * (m - r - 2)
-            b = (m - r - 1) * (r + 1)
-            c_out = 2 ** (r + 1) * (r + 1) * factorial(m - r - 1) * factorial(m - r - 2)
-            resolved = "opposite" if abs(c) == c_out * abs(b - a) else "same"
+            # a, b > 0, so the opposite-sign candidate C |b - a| is the smaller
+            resolved = "opposite" if abs(c) == min(options) else "same"
     return {"branch": "hard" if m - r >= 4 else "empirical", "matches": matches,
             "resolved_relative_sign": resolved, "computed": computed.to_string(),
             "candidates": {"".join(map(str, mono)): [str(v) for v in sorted(vals)]

@@ -40,7 +40,7 @@ from math import gcd
 from operator import itemgetter
 from typing import Optional, Sequence
 
-from .linalg import (SpanEchelon, coefficient_rows, nullspace, poly_divide_exact,
+from .linalg import (_column_echelon, coefficient_rows, nullspace, poly_divide_exact,
                      poly_matrix_rank)
 from .polyring import (  # MAX_DEGREE is re-exported: groebner.MAX_DEGREE
     _FIELD_BITS,
@@ -56,10 +56,10 @@ from .polyring import (  # MAX_DEGREE is re-exported: groebner.MAX_DEGREE
     QQ,
     _from_kernel,
     _kernel_mul,
+    _kernel_terms,
     _lcm,
     _overflow,
     _to_kernel,
-    _unscaled,
     packing,
 )
 
@@ -669,7 +669,7 @@ def linear_syzygies(F: Sequence[Polynomial]) -> tuple:
     units = [tuple(int(jj == j) for jj in range(n)) for j in range(n)]
     shifts = [pk.encode(e) for e in units]
     columns = [{k + x_j: c for k, c in terms.items()}
-               for terms in (_unscaled(*_to_kernel(f, pk)) for f in F) for x_j in shifts]
+               for terms in (_kernel_terms(f, pk) for f in F) for x_j in shifts]
     kernel = nullspace(coefficient_rows(columns, pk.decode), len(columns), fld)
     syzygies = [tuple(Polynomial(fld, n, {e: vec[i * n + j] for j, e in enumerate(units)})
                       for i in range(g))
@@ -700,18 +700,12 @@ def reduction_check(J: Ideal, I: Ideal, nmax: int) -> dict:
     # every span holds kernel rows on the degrevlex packing: generators are
     # encoded once, with their true coefficients, and products stay packed
     pk = packing(DEGREVLEX, I.nvars)
-    gens_i = [_unscaled(*_to_kernel(g, pk)) for g in I.generators]
-    gens_j = [_unscaled(*_to_kernel(g, pk)) for g in J.generators]
-
-    def span_of(rows):
-        span = SpanEchelon(fld)
-        for row in rows:
-            span.insert(row)
-        return span
+    gens_i = [_kernel_terms(g, pk) for g in I.generators]
+    gens_j = [_kernel_terms(g, pk) for g in J.generators]
 
     # I_d is the span of I's generators, so J lies in I iff each of its
     # degree-d generators lies in that span
-    span_i = span_of(gens_i)
+    span_i = _column_echelon(gens_i, fld)
     if not all(span_i.contains(g) for g in gens_j):
         return {"contained": False, "reduction_number": None, "steps": []}
 
@@ -723,8 +717,10 @@ def reduction_check(J: Ideal, I: Ideal, nmax: int) -> dict:
     for n in range(nmax + 1):
         if (n + 1) * dI > MAX_DEGREE:
             raise _overflow()
-        power_span = span_of(_kernel_mul(w, g, p) for w in power_basis for g in gens_i)
-        product_span = span_of(_kernel_mul(w, f, p) for w in power_basis for f in gens_j)
+        power_span = _column_echelon((_kernel_mul(w, g, p) for w in power_basis
+                                      for g in gens_i), fld)
+        product_span = _column_echelon((_kernel_mul(w, f, p) for w in power_basis
+                                        for f in gens_j), fld)
         # J in I (proved above) puts J I^n inside I^(n+1): equal dims, equal spans
         equal = product_span.dim == power_span.dim
         steps.append({"n": n, "dim_product": product_span.dim,

@@ -58,6 +58,9 @@ class SpanEchelon:
         """(row, mul, div) with row = mul/div * terms: the nonzero entries as
         an integer-primitive row over QQ, as residues over GF(p)."""
         if self.field == QQ:
+            if all(type(c) is int for c in terms.values()):
+                row, content = _row_primitive({k: c for k, c in terms.items() if c})
+                return row, 1, content
             den = lcm(*(c.denominator for c in terms.values()))
             row, content = _row_primitive(
                 {k: c.numerator * (den // c.denominator) for k, c in terms.items() if c})
@@ -156,10 +159,8 @@ class SpanEchelon:
 
 def span_dimension(polys: Sequence[Polynomial], field=None) -> int:
     """Dimension of the k-linear span of a family of polynomials."""
-    span = SpanEchelon(field or (polys[0].field if polys else QQ))
-    for p in polys:
-        span.insert(p.terms)
-    return span.dim
+    field = field or (polys[0].field if polys else QQ)
+    return _column_echelon((p.terms for p in polys), field).dim
 
 
 def coefficient_rows(columns: Sequence[dict], decode=None) -> list:
@@ -176,8 +177,9 @@ def coefficient_rows(columns: Sequence[dict], decode=None) -> list:
 
 
 def _column_echelon(rows, field) -> SpanEchelon:
-    """The echelon of sparse rows {column: entry}; each pivot row's lead is
-    its smallest column, so the pivots are the first independent columns."""
+    """The echelon of sparse rows {column: entry}, the one span builder;
+    each pivot row's lead is its smallest column, so the pivots are the
+    first independent columns."""
     span = SpanEchelon(field)
     for row in rows:
         span.insert(row)

@@ -18,7 +18,7 @@ from . import groebner
 from .groebner import BudgetExceededError, GBBudget
 from .linalg import SpanEchelon, coefficient_rows, nullspace, solve_consistent
 from .polyring import (DEGREVLEX, IndexRangeError, PolyError, Polynomial, QQ, _kernel_mul,
-                       _to_kernel, _unscaled, packing)
+                       _kernel_terms, packing)
 from .symmatrix import HankelSpec, SymMatrix, hankel, hankel_square
 
 Bracket = tuple
@@ -257,18 +257,18 @@ def _relation_spaces(minor_list: list, field=QQ) -> list:
 
     Each minor is encoded once, and each product of degree d is its
     degree-(d-1) prefix times one more minor on the packed kernel; a column
-    holds the product's true coefficients (its kernel terms over its
-    scale), and its rows come in exponent-tuple order."""
+    holds the product's true coefficients, and its rows come in
+    exponent-tuple order."""
     pk = packing(DEGREVLEX, minor_list[0].nvars)
     p = field.characteristic
-    factors = [_to_kernel(mn, pk) for mn in minor_list]
+    factors = [_kernel_terms(mn, pk) for mn in minor_list]
     products = {(i,): factor for i, factor in enumerate(factors)}
     spaces = []
     for _ in range(2):
-        products = {combo + (i,): (_kernel_mul(terms, factors[i][0], p), scale * factors[i][1])
-                    for combo, (terms, scale) in products.items()
+        products = {combo + (i,): _kernel_mul(terms, factors[i], p)
+                    for combo, terms in products.items()
                     for i in range(combo[-1], len(factors))}
-        columns = [_unscaled(terms, scale) for terms, scale in products.values()]
+        columns = list(products.values())
         spaces.append((nullspace(coefficient_rows(columns, pk.decode), len(columns), field),
                        list(products)))
     return spaces

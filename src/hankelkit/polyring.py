@@ -12,13 +12,14 @@ printed ``x<i>``) lives at tuple index ``i - 1``.
 
 Symbolic arithmetic runs on one packed kernel format (``MonomialPacking``):
 a monomial is a single int whose comparison is a monomial order and whose
-product is ``+``, with integer coefficients (cleared denominators over the
-rationals, residues over GF(p)).  Products, the determinants of
-``symmatrix`` and the Groebner engine convert to it once and back once; a
-block degree above ``MAX_DEGREE`` raises BudgetExceededError.  Work whose
-result is only counted, compared or fed to an echelon can stay there: a
-kernel polynomial is ``terms / scale`` (see ``_to_kernel``), and
-``_unscaled`` reads its true coefficients without decoding a monomial.
+product is ``+``.  Products, the determinants of ``symmatrix`` and the
+Groebner engine convert to it once and back once; a block degree above
+``MAX_DEGREE`` raises BudgetExceededError.  Kernel terms that cross a module
+boundary carry their true coefficients (``_kernel_terms``), so work whose
+result is only counted, compared or fed to an echelon stays there without
+decoding a monomial.  Only where integers are needed are denominators
+cleared: ``_to_kernel`` gives the Groebner engine and ``Polynomial.__mul__``
+integer-primitive terms and their scale, which ``_unscaled`` divides out.
 
 The canonical text form (used for fixtures and reports) is:
 signed terms joined by ``+``/``-``, each term ``c`` or ``c*x<i>^<e>*...`` with
@@ -417,11 +418,17 @@ def _lcm(a: int, b: int, guard: int) -> int:
     return b ^ ((a ^ b) & m)
 
 
+def _kernel_terms(p: Polynomial, pk: MonomialPacking) -> dict:
+    """The terms of ``p`` on the packing, with their true coefficients."""
+    encode = pk.encode
+    return {encode(e): c for e, c in p.terms.items()}
+
+
 def _to_kernel(p: Polynomial, pk: MonomialPacking) -> tuple:
     """(terms, scale) with terms = scale * p, integer-primitive over QQ."""
-    encode = pk.encode
     if p.field != QQ:
-        return {encode(e): c for e, c in p.terms.items()}, 1
+        return _kernel_terms(p, pk), 1
+    encode = pk.encode
     den = lcm(*(c.denominator for c in p.terms.values()))
     terms = {encode(e): c.numerator * (den // c.denominator) for e, c in p.terms.items()}
     content = gcd(*terms.values())
@@ -452,16 +459,6 @@ def _from_kernel(terms: dict, pk: MonomialPacking, field, nvars: int,
                       _trusted=True)
 
 
-def _kernel_equal(a: dict, scale_a, b: dict, scale_b) -> bool:
-    """Whether the settled kernel terms ``a / scale_a`` and ``b / scale_b``
-    are one polynomial; over GF(p) every scale is 1."""
-    if scale_a == scale_b:
-        return a == b
-    fa, fb = Fraction(scale_a), Fraction(scale_b)
-    u, v = fb.numerator * fa.denominator, fa.numerator * fb.denominator
-    return a.keys() == b.keys() and all(c * u == b[k] * v for k, c in a.items())
-
-
 def _degrevlex_lead(terms) -> tuple:
     """The degrevlex-largest exponent tuple of a nonempty collection: of
     those of top total degree, the one whose reversal is smallest."""
@@ -470,8 +467,8 @@ def _degrevlex_lead(terms) -> tuple:
 
 
 def _mul_add(acc: dict, a: dict, b: dict) -> None:
-    """acc += a * b on kernel terms with integer coefficients; a sum that
-    cancels stays in ``acc`` as a zero (see ``_settle``)."""
+    """acc += a * b on kernel terms; a sum that cancels stays in ``acc`` as
+    a zero, and over GF(p) only ``_settle`` reduces the sums."""
     get = acc.get
     for ka, ca in a.items():
         for kb, cb in b.items():

@@ -3,10 +3,11 @@ block partitions used by the gradient analysis.
 
 Every minor comes from one shared expansion (``SymMatrix._kernel_minors``):
 a single memoized pass on the packed kernel of ``polyring`` that yields all
-t x t minors of a matrix as kernel terms, which ``_expand_minors`` decodes for
-callers that want polynomials.  The determinant is its t = n case, ``minors(t)``
-lists one pass, and ``cofactors``/``adjugate`` read all n^2 cofactors from
-one pass over the (n-1) x (n-1) minors.
+t x t minors of a matrix as kernel terms with their true coefficients, which
+``_expand_minors`` decodes for callers that want polynomials.  The
+determinant is its t = n case, ``minors(t)`` lists one pass, and
+``cofactors``/``adjugate`` read all n^2 cofactors from one pass over the
+(n-1) x (n-1) minors.
 
 Matrices are immutable; all indices in the public API are 1-based to match
 the usual matrix conventions.
@@ -20,7 +21,7 @@ from math import lcm, prod
 from typing import Callable, Optional, Sequence
 
 from .groebner import Ideal
-from .linalg import SpanEchelon
+from .linalg import _column_echelon
 from .polyring import (
     DEGREVLEX,
     MAX_DEGREE,
@@ -31,10 +32,11 @@ from .polyring import (
     PolyError,
     Polynomial,
     _from_kernel,
+    _kernel_terms,
     _mul_add,
     _overflow,
     _settle,
-    _to_kernel,
+    _unscaled,
     packing,
 )
 
@@ -151,18 +153,18 @@ class SymMatrix:
         """Every t x t minor as a :class:`Minor`, in lexicographic order of
         (rows, cols), decoded from :meth:`_kernel_minors`."""
         pk = packing(DEGREVLEX, self.nvars)
-        for rows, cols, terms, scale in self._kernel_minors(t, max_terms):
-            yield Minor(rows, cols, _from_kernel(terms, pk, self.field, self.nvars, scale))
+        for rows, cols, terms in self._kernel_minors(t, max_terms):
+            yield Minor(rows, cols, _from_kernel(terms, pk, self.field, self.nvars))
 
     def _kernel_minors(self, t: int, max_terms: Optional[int] = None):
-        """(rows, cols, terms, scale) for every t x t minor, 1-based, in
+        """(rows, cols, terms) for every t x t minor, 1-based, in
         lexicographic order of (rows, cols), from one memoized expansion on
-        the packed kernel: the minor is ``terms / scale``, with ``terms`` on
+        the packed kernel: ``terms`` holds the minor's true coefficients on
         the degrevlex packing of the matrix's ring.
 
         The entries are converted once to kernel terms (degrevlex keys,
         products by ``+``) with integer coefficients: over QQ each row scaled
-        by the lcm of its denominators, each minor divided at the end by the
+        by the lcm of its denominators, each minor divided at its yield by the
         product of its rows' lcms; over GF(p) every minor is kept as residues.
         Each row k-subset R gets a table of its minors on every column
         k-subset, each expanded along the last row of R against the table of
@@ -185,7 +187,7 @@ class SymMatrix:
             entries = self.row(i)
             if p:
                 den = 1
-                kernel = [_to_kernel(x, pk)[0] for x in entries]
+                kernel = [_kernel_terms(x, pk) for x in entries]
             else:
                 den = lcm(*(c.denominator for x in entries for c in x.terms.values()))
                 kernel = [{pk.encode(e): c.numerator * (den // c.denominator)
@@ -228,7 +230,8 @@ class SymMatrix:
                 scale = prod(scales[i] for i in rset)
                 rkey = tuple(i + 1 for i in rset)
                 for cols in combinations(range(self.cols), t):
-                    yield rkey, tuple(j + 1 for j in cols), expand(rset, cols, prev), scale
+                    minor = _unscaled(expand(rset, cols, prev), scale)
+                    yield rkey, tuple(j + 1 for j in cols), minor
                 continue
             table = {cols: expand(rset, cols, prev)
                      for cols in combinations(range(self.cols), size)}
@@ -366,12 +369,8 @@ def gruson_peskine_check(s: int, t_size: int, n: int, r: int, field=QQ) -> dict:
         raise MatrixShapeError("shapes do not share a variable set")
     gens_big = [mn.value for mn in big.minors(t_size)]
     gens_small = [mn.value for mn in small.minors(t_size)]
-    span_big = SpanEchelon(field)
-    for g in gens_big:
-        span_big.insert(g.terms)
-    span_small = SpanEchelon(field)
-    for g in gens_small:
-        span_small.insert(g.terms)
+    span_big = _column_echelon((g.terms for g in gens_big), field)
+    span_small = _column_echelon((g.terms for g in gens_small), field)
     equal = (span_big.dim == span_small.dim
              and all(span_big.contains(g.terms) for g in gens_small))
     counts = [len(Ideal(field, big.nvars, gens).generators)

@@ -18,7 +18,7 @@ from hankelkit import groebner as gb
 from hankelkit import minorposet as mp
 from hankelkit.groebner import Ideal
 from hankelkit.linalg import SpanEchelon, coefficient_rows, nullspace, poly_matrix_rank
-from hankelkit.polyring import Polynomial, PrimeField, QQ
+from hankelkit.polyring import DEGREVLEX, Polynomial, PrimeField, QQ, packing
 from hankelkit.symmatrix import SymMatrix, hankel_square
 
 FIELDS = [QQ, PrimeField(3), PrimeField(5), PrimeField(32003)]
@@ -115,7 +115,10 @@ def test_relation_spaces_keep_the_scales_of_fractional_minors():
 @pytest.mark.parametrize("m,r", [(m, r) for m in range(3, 7) for r in range(m - 1)])
 def test_linear_syzygies_match_the_polynomial_route(m, r):
     F = list(gr.gradient(m, r).partials)
-    assert gb.linear_syzygies(F) == linear_syzygies_reference(F)
+    # fractional generators: F_1 with content 2, F_2 with denominator 3
+    scaled = [F[0].scale(2), F[1].scale(QQ.coerce("1/3"))] + F[2:]
+    for G in (F, scaled):
+        assert gb.linear_syzygies(G) == linear_syzygies_reference(G)
 
 
 @pytest.mark.parametrize("field", FIELDS[1:], ids=FIELD_IDS[1:])
@@ -163,6 +166,24 @@ def test_a_perturbed_f_fails_both_checks(m, r, field):
     verdicts = gr.cofactor_decomposition_check(moved)
     assert verdicts == cofactor_reference(moved)
     assert [k for k, ok in verdicts.items() if not ok] == ["1"]
+
+
+def test_kernel_minors_yield_true_coefficients():
+    # halving row 1 gives the minors through it fractional coefficients
+    h = hankel_square(4, 1)
+    half = QQ.coerce("1/2")
+    scaled = SymMatrix(4, 4, [e.scale(half) if idx < 4 else e
+                              for idx, e in enumerate(h.entries)])
+    pk = packing(DEGREVLEX, scaled.nvars)
+    for t in range(1, 5):
+        yielded = list(scaled._kernel_minors(t))
+        assert [(rows, cols) for rows, cols, _ in yielded] == \
+            [(mn.rows, mn.cols) for mn in scaled.minors(t)]
+        for (rows, cols, terms), mn in zip(yielded, scaled.minors(t)):
+            assert {pk.decode(k): c for k, c in terms.items()} == mn.value.terms
+            assert mn.value == scaled.submatrix(rows, cols).determinant_perm_oracle()
+            assert all(type(c) is int for c in terms.values() if c == int(c))
+        assert any(type(c) is not int for _, _, terms in yielded for c in terms.values())
 
 
 def test_cofactor_sums_keep_the_scales_of_fractional_rows():
