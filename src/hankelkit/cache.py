@@ -33,17 +33,18 @@ import hashlib
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from math import gcd
 from pathlib import Path
 
+from . import ENGINE_VERSION
 from .groebner import DEFAULT_BUDGET, _reduce_full, kernel_basis, verify_basis
 from .polyring import _FIELD_BITS, field_from_descriptor, order_from_descriptor, packing
 
 _FORMAT = "hankelkit-gb-3"
 _ENGINE_SOURCES = ("cache.py", "groebner.py", "polyring.py")
 _TAIL_BYTES = len(',"digest":""}\n') + 64
+_VERIFY_SAMPLES = 3  # entries ``verify`` re-checks
 
 
 def _digest_tail(key: str, body: bytes) -> bytes:
@@ -70,12 +71,12 @@ def engine_digest() -> str:
     return h.hexdigest()
 
 
-def cache_key(engine_version: str, ideal, order, generators: list) -> str:
+def cache_key(ideal, order, generators: list) -> str:
     """The entry key of ``ideal`` under ``order``, given the kernel terms of
     its generators in that order's packing."""
     h = hashlib.sha256()
     h.update(_FORMAT.encode())
-    h.update(engine_version.encode())
+    h.update(ENGINE_VERSION.encode())
     h.update(engine_digest().encode())
     h.update(ideal.field.descriptor().encode())
     h.update(str(ideal.nvars).encode())
@@ -127,22 +128,18 @@ def _check(entries: list, generators: list, pk, p: int) -> None:
             raise ValueError("a generator does not reduce to zero")
 
 
-@dataclass
 class GroebnerCache:
-    directory: Path
-    engine_version: str
-    hits: int = 0
-    misses: int = 0
-    evictions: list = dc_field(default_factory=list)
-
-    def __post_init__(self):
-        self.directory = Path(self.directory)
+    def __init__(self, directory):
+        self.directory = Path(directory)
         (self.directory / "gb").mkdir(parents=True, exist_ok=True)
+        self.hits = 0
+        self.misses = 0
+        self.evictions = []
 
     def _path(self, ideal, order, generators: list) -> Path:
         """The entry path of ``ideal`` under ``order``, given the kernel terms
         of its generators in that order's packing."""
-        key = cache_key(self.engine_version, ideal, order, generators)
+        key = cache_key(ideal, order, generators)
         return self.directory / "gb" / f"{key}.txt"
 
     def get(self, ideal, order, generators: list):
@@ -170,7 +167,7 @@ class GroebnerCache:
         path = self._path(ideal, order, generators)
         data = _entry_bytes(path.stem, {
             "format": _FORMAT,
-            "engine": self.engine_version,
+            "engine": ENGINE_VERSION,
             "field": ideal.field.descriptor(),
             "nvars": ideal.nvars,
             "order": order.descriptor(),
@@ -230,11 +227,12 @@ class GroebnerCache:
             f.unlink()
         return len(files)
 
-    def verify(self, rng, samples: int = 3) -> dict:
+    def verify(self, rng) -> dict:
         """Re-check S-polynomial reduction on a few cached bases before
         trusting the cache; corrupted entries are evicted with a warning."""
         files = self.entries()
-        chosen = files if len(files) <= samples else rng.sample(files, samples)
+        chosen = (files if len(files) <= _VERIFY_SAMPLES
+                  else rng.sample(files, _VERIFY_SAMPLES))
         checked, evicted = [], []
         for path in chosen:
             try:

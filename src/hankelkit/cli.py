@@ -19,6 +19,7 @@ import random
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -144,7 +145,7 @@ def cmd_codim_gradient(m, r, cfg: RunConfig):
 def cmd_gp_check(m, r, t, cfg: RunConfig):
     if not 1 <= t <= m:
         raise UsageError(f"t={t} outside 1..{m}")
-    witness = gruson_peskine_check(m, t, 2 * m - 1, r, cfg.field)
+    witness = gruson_peskine_check(m, t, r, cfg.field)
     return ("pass" if witness["equal"] else "fail"), witness
 
 
@@ -222,46 +223,39 @@ def cmd_linear_rank(m, r, cfg: RunConfig):
     return "pass", witness
 
 
-def _reduction_cell(m, r, field, nmax: int):
-    """(verdict, witness) of the reduction-number check over ``field``."""
+def _reduction_cell(m, r, field, nmax: int) -> dict:
+    """The witness of the reduction-number check over ``field``."""
     h = hankel_square(m, r, field)
     J = gradient.gradient(m, r, field).ideal()
     I = Ideal(field, h.nvars, [mn.value for mn in h.minors(m - 1)])
-    witness = groebner.reduction_check(J, I, nmax)
-    if not witness["contained"]:
-        verdict = "fail"
-    elif r == 0:
-        verdict = "pass" if witness["reduction_number"] == m - 2 else "fail"
-    elif 1 <= r <= m - 3:
-        verdict = "pass" if witness["reduction_number"] is None else "fail"
-    else:
-        verdict = "pass"
-    return verdict, witness
+    return groebner.reduction_check(J, I, nmax)
 
 
 def cmd_reduction_check(m, r, cfg: RunConfig, nmax: int = 3):
-    verdict, witness = _reduction_cell(m, r, cfg.field, nmax)
+    witness = _reduction_cell(m, r, cfg.field, nmax)
     p = cfg.field.characteristic
     if p:
         # the GF(p) spans are images of the QQ ones: where a step loses
         # dimension mod p, neither the verdict nor the witness is QQ's
-        qq = _reduction_cell(m, r, QQ, nmax)[1]
+        qq = _reduction_cell(m, r, QQ, nmax)
         if ([(s["dim_product"], s["dim_power"]) for s in witness["steps"]]
                 != [(s["dim_product"], s["dim_power"]) for s in qq["steps"]]):
             raise UsageError(f"reduction-check: characteristic {p} changes the span "
                              f"dimensions at m={m}, r={r}")
-    if witness["contained"]:
-        witness["expected"] = (m - 2 if r == 0
-                               else None if 1 <= r <= m - 3 else "unspecified")
-    return verdict, witness
+    if not witness["contained"]:
+        return "fail", witness
+    witness["expected"] = expected = (m - 2 if r == 0
+                                      else None if 1 <= r <= m - 3 else "unspecified")
+    ok = expected == "unspecified" or witness["reduction_number"] == expected
+    return ("pass" if ok else "fail"), witness
 
 
 def cmd_minimal_primes(m, r, cfg: RunConfig):
     witness = gradient.minimal_primes_checks(m, r, cfg.budget, cfg.cache)
-    if witness["budget_hit"] and witness["codims_ok"] is None:
+    if witness["budget_hit"]:
         return "budget-exceeded", witness
     ok = (witness["in_q"] and witness["in_p"] and witness["codims_ok"]
-          and witness["radical_spot"] is not False)
+          and witness["radical_spot"])
     return ("pass" if ok else "fail"), witness
 
 
@@ -424,9 +418,7 @@ def sweep_cells(command: str, m_spec: str, r_spec: str, t_spec: str) -> list:
     return cells
 
 
-def _sweep_cell(args) -> dict:
-    command, params, field_desc, order_desc, seed, budget_pairs, cache_dir = args
-    cfg = _build_config(field_desc, order_desc, seed, budget_pairs, cache_dir, None)
+def _sweep_cell(command: str, params: dict, cfg: RunConfig) -> dict:
     try:
         report = execute(command, params, cfg)
         verdict = report["result"]["verdict"]
@@ -442,33 +434,19 @@ def _sweep_cell(args) -> dict:
 
 
 def run_sweep(command: str, m_spec: str, r_spec: str, t_spec: str,
-              cfg: RunConfig, jobs: int, out_path: Optional[Path]) -> list:
+              cfg: RunConfig, jobs: int, out_path: Optional[Path]) -> None:
     cells = sweep_cells(command, m_spec, r_spec, t_spec)
-    cache_dir = str(cfg.cache.directory) if cfg.cache else None
-    args = [(command, params, cfg.field.descriptor(), cfg.order.descriptor(),
-             cfg.seed, cfg.budget.max_pairs, cache_dir) for params in cells]
-    fieldnames = ["command", "m", "r", "t", "verdict", "timing_ms", "detail"]
-    out = open(out_path, "w", newline="") if out_path else sys.stdout
-    writer = csv.DictWriter(out, fieldnames=fieldnames)
-    writer.writeheader()
-    rows = []
-    try:
-        if jobs > 1 and len(args) > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                for row in pool.map(_sweep_cell, args):
-                    writer.writerow(row)
-                    out.flush()
-                    rows.append(row)
-        else:
-            for a in args:
-                row = _sweep_cell(a)
-                writer.writerow(row)
-                out.flush()
-                rows.append(row)
-    finally:
-        if out_path:
-            out.close()
-    return rows
+    parallel = jobs > 1 and len(cells) > 1
+    with (ProcessPoolExecutor(max_workers=jobs) if parallel else nullcontext()) as pool, \
+            (open(out_path, "w", newline="") if out_path else nullcontext(sys.stdout)) as out:
+        writer = csv.DictWriter(out, fieldnames=["command", "m", "r", "t", "verdict",
+                                                 "timing_ms", "detail"])
+        writer.writeheader()
+        cell_map = pool.map if parallel else map
+        for row in cell_map(_sweep_cell, itertools.repeat(command), cells,
+                            itertools.repeat(cfg)):
+            writer.writerow(row)
+            out.flush()
 
 
 # ---------------------------------------------------------------------------
@@ -477,20 +455,11 @@ def run_sweep(command: str, m_spec: str, r_spec: str, t_spec: str,
 def _build_config(field_desc: str, order_desc: str, seed: int,
                   budget_pairs: int, cache_dir: Optional[str],
                   out_dir: Optional[str]) -> RunConfig:
-    cache = GroebnerCache(Path(cache_dir), ENGINE_VERSION) if cache_dir else None
+    cache = GroebnerCache(Path(cache_dir)) if cache_dir else None
     return RunConfig(field_from_descriptor(field_desc),
                      order_from_descriptor(order_desc), seed,
                      GBBudget(max_pairs=budget_pairs), cache,
                      Path(out_dir) if out_dir else None)
-
-
-def _engine_flags(p: argparse.ArgumentParser) -> None:
-    """The field, order, seed, budget and cache flags of a run."""
-    p.add_argument("--field", default="q", help="q or f<p>, e.g. f3")
-    p.add_argument("--order", default="degrevlex", choices=["degrevlex", "lex"])
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget-pairs", type=int, default=GBBudget().max_pairs)
-    p.add_argument("--cache", default=os.environ.get("HANKEL_CACHE_DIR"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -499,20 +468,28 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact experiments on Hankel determinantal degenerations")
     sub = parser.add_subparsers(dest="command")
 
+    # the field, order, seed, budget and cache flags of a run, and a
+    # check's report flags on top of them
+    engine = argparse.ArgumentParser(add_help=False)
+    engine.add_argument("--field", default="q", help="q or f<p>, e.g. f3")
+    engine.add_argument("--order", default="degrevlex", choices=["degrevlex", "lex"])
+    engine.add_argument("--seed", type=int, default=0)
+    engine.add_argument("--budget-pairs", type=int, default=GBBudget().max_pairs)
+    engine.add_argument("--cache", default=os.environ.get("HANKEL_CACHE_DIR"))
+    report = argparse.ArgumentParser(add_help=False, parents=[engine])
+    report.add_argument("--out", default=os.environ.get("HANKEL_OUT_DIR", "reports"))
+    report.add_argument("--format", default="json", choices=["json", "csv"])
+
     for name, command in COMMANDS.items():
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, parents=[report])
         for arg in command.grid + command.flags:
             p.add_argument(f"--{arg}", **_ARGUMENTS[arg])
-        _engine_flags(p)
-        p.add_argument("--out", default=os.environ.get("HANKEL_OUT_DIR", "reports"))
-        p.add_argument("--format", default="json", choices=["json", "csv"])
 
-    p = sub.add_parser("sweep")
+    p = sub.add_parser("sweep", parents=[engine])
     p.add_argument("target", choices=COMMANDS)
     p.add_argument("--m", required=True, help="range, e.g. 3..6")
     p.add_argument("--r", default="0..m-2", help="range, may use m, e.g. 0..m-2")
     p.add_argument("--t", default="1..m", help="range for t-commands")
-    _engine_flags(p)
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     p.add_argument("--out", default=None, help="CSV path (default stdout)")
 
@@ -534,7 +511,7 @@ def main(argv=None) -> int:
         return 3
 
     if args.command == "cache":
-        cache = GroebnerCache(Path(args.cache), ENGINE_VERSION)
+        cache = GroebnerCache(Path(args.cache))
         if args.action == "stats":
             print(json.dumps(cache.stats(), indent=2, sort_keys=True))
         elif args.action == "clear":
@@ -548,23 +525,17 @@ def main(argv=None) -> int:
                       file=sys.stderr)
         return 0
 
-    if args.command == "sweep":
-        try:
-            cfg = _build_config(args.field, args.order, args.seed,
-                                args.budget_pairs, args.cache, None)
-            run_sweep(args.target, args.m, args.r, args.t, cfg, args.jobs,
-                      Path(args.out) if args.out else None)
-        except (UsageError, PolyError) as exc:
-            print(f"usage error: {exc}", file=sys.stderr)
-            return 3
-        return 0
-
-    command = COMMANDS[args.command]
-    params = {name: getattr(args, name) for name in command.grid + command.flags
-              if getattr(args, name) is not None}
+    sweep = args.command == "sweep"
     try:
         cfg = _build_config(args.field, args.order, args.seed, args.budget_pairs,
-                            args.cache, args.out)
+                            args.cache, None if sweep else args.out)
+        if sweep:
+            run_sweep(args.target, args.m, args.r, args.t, cfg, args.jobs,
+                      Path(args.out) if args.out else None)
+            return 0
+        command = COMMANDS[args.command]
+        params = {name: getattr(args, name) for name in command.grid + command.flags
+                  if getattr(args, name) is not None}
         report = execute(args.command, params, cfg)
     except (UsageError, PolyError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -152,7 +152,7 @@ def hessian_degenerated(m: int, r: int, field=QQ) -> Polynomial:
     return hessian(m, r, field).degenerated
 
 
-def hessian_nonzero_certificate(m: int, r: int, rng=None, field=QQ,
+def hessian_nonzero_certificate(m: int, r: int, rng, field=QQ,
                                 budget: Optional[GBBudget] = None) -> tuple:
     """Certify that the Hessian determinant of f does not vanish:
     ``(nonzero, {"route": ..., "witness": ...})`` with route "degeneration",
@@ -167,16 +167,14 @@ def hessian_nonzero_certificate(m: int, r: int, rng=None, field=QQ,
     data = hessian(m, r, field)
     if not data.degenerated.is_zero():
         return True, {"route": "degeneration", "witness": data.degenerated.to_string()}
-    if rng is not None:
-        n = data.nvars
-        for _ in range(5):
-            point = [rng.randint(1, 1000) for _ in range(n)]
-            numeric = [dict(enumerate(e.evaluate(point) for e in data.matrix.row(i)))
-                       for i in range(1, n + 1)]
-            value = det(numeric, field)
-            if value != 0:
-                return True, {"route": "evaluation",
-                              "witness": f"h(f)({point}) = {value}"}
+    n = data.nvars
+    for _ in range(5):
+        point = [rng.randint(1, 1000) for _ in range(n)]
+        numeric = [dict(enumerate(e.evaluate(point) for e in data.matrix.row(i)))
+                   for i in range(1, n + 1)]
+        value = det(numeric, field)
+        if value != 0:
+            return True, {"route": "evaluation", "witness": f"h(f)({point}) = {value}"}
     full = data.matrix.determinant((budget or groebner.DEFAULT_BUDGET).max_terms)
     return not full.is_zero(), {"route": "symbolic", "witness": f"{len(full.terms)} terms"}
 
@@ -370,7 +368,7 @@ def minimal_primes_checks(m: int, r: int, budget: Optional[GBBudget] = None,
         except BudgetExceededError:
             radical_spot = None
             budget_hit = True
-    return {"in_q": bool(in_q), "in_p": bool(in_p), "codim_q": codim_q,
+    return {"in_q": in_q, "in_p": in_p, "codim_q": codim_q,
             "codim_p": codim_p, "codims_ok": codims_ok, "radical_spot": radical_spot,
             "budget_hit": budget_hit}
 

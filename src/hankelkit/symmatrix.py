@@ -353,16 +353,18 @@ def phi_endomorphism(m: int, r: int) -> tuple:
     return tuple(i if i <= keep else None for i in range(1, 2 * m))
 
 
-def gruson_peskine_check(s: int, t_size: int, n: int, r: int, field=QQ) -> dict:
+def gruson_peskine_check(s: int, t_size: int, r: int, field=QQ) -> dict:
     """Verify the maximal-minor transfer I_t(H_{s,.}[r]) = I_t(H_{t,.}[r]):
     the t-minors of the s-rowed and t-rowed Hankel shapes on the same
-    variables generate the same ideal.  Both sets are forms of degree t, so
-    the ideals are equal exactly when their degree-t coefficient spans are.
+    n = 2s-1 variables generate the same ideal.  Both sets are forms of
+    degree t, so the ideals are equal exactly when their degree-t coefficient
+    spans are.
 
     Returns {"s", "t", "n", "r", "equal", "span_dims", "generator_counts"},
     the last two for the s-rowed and then the t-rowed shape."""
     if t_size > s:
         raise IndexRangeError("t must be at most s")
+    n = 2 * s - 1
     big = hankel(HankelSpec(s, n - s + 1, r), field)
     small = hankel(HankelSpec(t_size, n - t_size + 1, r), field)
     if big.nvars != small.nvars:

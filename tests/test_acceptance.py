@@ -140,7 +140,7 @@ def test_criterion_06_gruson_peskine_transfer():
         for m in range(2, 5):
             for r in range(0, m - 1):
                 for t in range(1, m + 1):
-                    rep = gruson_peskine_check(m, t, 2 * m - 1, r)
+                    rep = gruson_peskine_check(m, t, r)
                     assert rep["equal"], (m, t, r)
                     # the span route decides; Groebner mutual membership agrees
                     big, small = (hankel(HankelSpec(s, 2 * m - s, r)) for s in (m, t))

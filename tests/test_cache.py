@@ -10,7 +10,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hankelkit import ENGINE_VERSION, polyring
+from hankelkit import polyring
 from hankelkit.cache import GroebnerCache, _entry_bytes
 from hankelkit.groebner import Ideal, _entry, buchberger
 from hankelkit.polyring import (DEGREVLEX, LEX, BlockOrder, Polynomial, PrimeField, QQ,
@@ -32,7 +32,7 @@ small_terms = st.dictionaries(
 def test_round_trip_gives_the_basis_and_its_kernel_entries(gens, field, order):
     ideal = Ideal(field, NVARS, [Polynomial(field, NVARS, g) for g in gens])
     with tempfile.TemporaryDirectory() as directory:
-        cache = GroebnerCache(directory, ENGINE_VERSION)
+        cache = GroebnerCache(directory)
         first = buchberger(ideal, order, cache=cache)
         second = buchberger(ideal, order, cache=cache)
         assert (cache.hits, cache.misses, cache.evictions) == (1, 1, [])
@@ -63,7 +63,7 @@ def test_a_miss_and_its_put_encode_each_generator_once(tmp_path, monkeypatch):
         if name.startswith("hankelkit") and getattr(module, "_to_kernel", None) is _to_kernel:
             monkeypatch.setattr(module, "_to_kernel", counted)
     assert polyring._to_kernel is counted
-    cache = GroebnerCache(tmp_path, ENGINE_VERSION)
+    cache = GroebnerCache(tmp_path)
     buchberger(ideal, cache=cache)
     assert (cache.misses, len(cache.entries())) == (1, 1)
     assert encoded == list(ideal.generators)
@@ -130,7 +130,7 @@ def format_1_text(data, ideal):
 ], ids=lambda v: getattr(v, "__name__", repr(v)))
 def test_tampered_entry_is_evicted_and_recomputed(tmp_path, field, tamper):
     ideal = gradient_ideal(field)
-    cache = GroebnerCache(tmp_path, ENGINE_VERSION)
+    cache = GroebnerCache(tmp_path)
     expected = [p.to_string() for p in buchberger(ideal, cache=cache).polys]
     entry, = cache.entries()
     data = json.loads(entry.read_text())

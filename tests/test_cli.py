@@ -1,6 +1,7 @@
 """CLI exit codes, report determinism, sweeps, and cache administration."""
 
 import contextlib
+import csv
 import io
 import json
 import re
@@ -156,10 +157,13 @@ def test_gradient_command_checks_once(monkeypatch):
 
 
 def test_exit_code_budget_exceeded():
-    code, out = run_cli(["codim-gradient", "--m", "4", "--r", "0",
-                         "--budget-pairs", "2"])
-    assert code == 2
-    assert report_of(out)["result"]["verdict"] == "budget-exceeded"
+    # at 20 pairs minimal-primes finishes its containments and codimensions
+    # but not its radical spot checks: an undecided check is not a pass
+    for args in (["codim-gradient", "--m", "4", "--r", "0", "--budget-pairs", "2"],
+                 ["minimal-primes", "--m", "4", "--r", "1", "--budget-pairs", "20"]):
+        code, out = run_cli(args)
+        assert code == 2, args
+        assert report_of(out)["result"]["verdict"] == "budget-exceeded", args
 
 
 def test_conjecture_commands_never_hard_fail():
@@ -362,6 +366,25 @@ def test_cli_subprocess_round_trip(tmp_path):
         [sys.executable, "-m", "hankelkit.cli", "codim-minors", "--m", "3"],
         capture_output=True, text=True)
     assert bad.returncode == 3
+
+
+def test_sweep_on_a_disk_cache_matches_the_serial_rows(tmp_path):
+    # pool workers read and fill the cache of the RunConfig they are handed
+    def rows(jobs, *cache):
+        out_csv = tmp_path / "rows.csv"
+        code, _ = run_cli(["sweep", "codim-gradient", "--m", "3..4", "--jobs", str(jobs),
+                           *cache, "--out", str(out_csv)])
+        assert code == 0
+        with open(out_csv, newline="") as fh:
+            return [(row["m"], row["r"], row["verdict"], row["detail"])
+                    for row in csv.DictReader(fh)]
+
+    serial = rows(1)
+    assert len(serial) == 2 + 3
+    cache = ["--cache", str(tmp_path / "cache")]
+    assert rows(2, *cache) == serial
+    assert list((tmp_path / "cache" / "gb").glob("*.txt"))
+    assert rows(2, *cache) == serial
 
 
 def test_sweep_parallel_jobs(tmp_path):

@@ -230,6 +230,16 @@ def test_minimal_primes_m4_r1():
     assert rep["radical_spot"] is True
 
 
+def test_minimal_primes_checks_cut_short_read_none():
+    # five pairs do not finish the basis of P, so neither containment in P
+    # nor a codimension nor a radical spot check is decided
+    from hankelkit.groebner import GBBudget
+
+    rep = gr.minimal_primes_checks(4, 1, GBBudget(max_pairs=5))
+    assert rep["budget_hit"] and rep["in_q"] is True
+    assert rep["in_p"] is rep["codim_p"] is rep["radical_spot"] is None
+
+
 def test_minimal_primes_requires_middle_r():
     with pytest.raises(IndexRangeError):
         gr.minimal_primes_checks(3, 0)

@@ -234,13 +234,12 @@ def test_codim_minor_table_extends_to_m5():
 def test_unit_ideal_dimension(tmp_path):
     """-1 for the unit ideal and nvars for the zero ideal, computed and read
     back from the disk cache."""
-    from hankelkit import ENGINE_VERSION
     from hankelkit.cache import GroebnerCache
 
     one = Polynomial.one(QQ, 3)
     for gens, expected in (([one], -1), ([x(1, 3), x(1, 3) + one], -1), ([], 3)):
         ideal = Ideal(QQ, 3, gens)
-        cache = GroebnerCache(tmp_path / str(len(gens)), ENGINE_VERSION)
+        cache = GroebnerCache(tmp_path / str(len(gens)))
         assert gb.dimension(ideal) == expected
         assert gb.dimension(ideal, cache=cache) == expected and cache.misses == 1
         assert gb.dimension(ideal, cache=cache) == expected and cache.hits == 1
@@ -745,10 +744,9 @@ def test_membership_consistent_with_rank_one_curve(rng):
 # -- cache integration -----------------------------------------------------------------
 
 def test_buchberger_uses_cache(tmp_path):
-    from hankelkit import ENGINE_VERSION
     from hankelkit.cache import GroebnerCache
 
-    cache = GroebnerCache(tmp_path, ENGINE_VERSION)
+    cache = GroebnerCache(tmp_path)
     _, _, J = gradient_ideal(3, 1)
     first = gb.buchberger(J, cache=cache)
     assert cache.hits == 0 and cache.misses == 1
@@ -762,10 +760,9 @@ def test_buchberger_uses_cache(tmp_path):
 
 
 def test_cache_round_trip_over_prime_field(tmp_path):
-    from hankelkit import ENGINE_VERSION
     from hankelkit.cache import GroebnerCache
 
-    cache = GroebnerCache(tmp_path, ENGINE_VERSION)
+    cache = GroebnerCache(tmp_path)
     f3 = PrimeField(3)
     _, _, J = gradient_ideal(4, 1, f3)
     first = gb.buchberger(J, cache=cache)
@@ -776,7 +773,6 @@ def test_cache_round_trip_over_prime_field(tmp_path):
 
 
 def test_basis_readers_leave_the_polynomials_undecoded(tmp_path, monkeypatch):
-    from hankelkit import ENGINE_VERSION
     from hankelkit.cache import GroebnerCache
 
     made = []
@@ -787,7 +783,7 @@ def test_basis_readers_leave_the_polynomials_undecoded(tmp_path, monkeypatch):
         return made[-1]
 
     monkeypatch.setattr(gb, "buchberger", recorded)
-    cache = GroebnerCache(tmp_path, ENGINE_VERSION)
+    cache = GroebnerCache(tmp_path)
     _, f, J = gradient_ideal(3, 1)
     assert gb.codimension(J, cache=cache) == 2
     assert gb.radical_membership(f, J)
@@ -798,10 +794,10 @@ def test_basis_readers_leave_the_polynomials_undecoded(tmp_path, monkeypatch):
 
 
 def test_cache_misses_an_entry_of_another_engine(tmp_path, monkeypatch):
-    from hankelkit import ENGINE_VERSION, cache as cache_mod
+    from hankelkit import cache as cache_mod
     from hankelkit.cache import GroebnerCache
 
-    cache = GroebnerCache(tmp_path, ENGINE_VERSION)
+    cache = GroebnerCache(tmp_path)
     _, _, J = gradient_ideal(3, 1)
     monkeypatch.setattr(cache_mod, "engine_digest", lambda: "another engine")
     gb.buchberger(J, cache=cache)

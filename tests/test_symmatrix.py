@@ -283,18 +283,18 @@ def test_linear_span_drops_when_r_reaches_t():
 
 
 def test_gruson_peskine_square_case():
-    rep = gruson_peskine_check(3, 2, 5, 0)
+    rep = gruson_peskine_check(3, 2, 0)
     assert rep["equal"]
-    rep = gruson_peskine_check(3, 3, 5, 0)
+    rep = gruson_peskine_check(3, 3, 0)
     assert rep["equal"]  # t = s is trivial
-    rep = gruson_peskine_check(4, 3, 7, 1)
+    rep = gruson_peskine_check(4, 3, 1)
     assert rep["equal"]
 
 
 def test_gruson_peskine_extends_to_m5():
     for r in range(0, 4):
         for t in range(1, 6):
-            assert gruson_peskine_check(5, t, 9, r)["equal"], (t, r)
+            assert gruson_peskine_check(5, t, r)["equal"], (t, r)
 
 
 def test_block_partition_shapes_and_identity():
