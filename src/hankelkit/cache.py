@@ -10,21 +10,23 @@ straight from those terms, with no text to parse and no monomial to encode.
 
 The key hashes the entry format, the engine version, a digest of the engine
 sources (``cache.py``, ``groebner.py`` and ``polyring.py``), field, order,
-variable count and each generator's sorted kernel terms, which the caller
-encodes once and hands to both ``get`` and ``put``, so any change to the
-inputs, the engine or the entry layout misses cleanly.  Every hit is
-checked before it is served: the digest must match the bytes as read (this
-catches accidental damage, such as a dropped element that no generator
-needs, but not deliberate tampering, since whoever writes an entry can
-recompute its digest), keys must be valid packed monomials (no guard
-bit in the key or its exponents), coefficients nonzero ints (residues in
-``[1, p)`` over GF(p)) with the lead normalized as above, leads strictly
+variable count and each generator's sorted kernel terms, which the ideal
+encodes once per packing (``Ideal.kernel_terms``) for ``get`` and ``put``,
+so any change to the inputs, the engine or the entry layout misses cleanly.
+Every hit is checked before it is served: the digest must match the bytes
+as read (this catches accidental damage, such as a dropped element that no
+generator needs, but not deliberate tampering, since whoever writes an
+entry can recompute its digest), keys must be valid packed monomials (no
+guard bit in the key or its exponents), coefficients nonzero ints (residues
+in ``[1, p)`` over GF(p)) with the lead normalized as above, leads strictly
 increasing with none dividing another, and every generator must reduce to
-zero against the loaded basis.  An entry that cannot be read or fails a
-check is evicted and counted as a miss, and the basis is recomputed.  The
-check catches a corrupted or foreign entry; it does not prove the basis
-correct, which ``verify`` does by the S-polynomial criterion.  Writes are
-atomic (temp file + rename).
+zero against the loaded basis.  Those reductions share the basis's divisor
+memo (see ``groebner._reduce_full``), which the served basis keeps, so the
+reductions a caller then makes against it start warm.  An entry that cannot
+be read or fails a check is evicted and counted as a miss, and the basis is
+recomputed.  The check catches a corrupted or foreign entry; it does not
+prove the basis correct, which ``verify`` does by the S-polynomial
+criterion.  Writes are atomic (temp file + rename).
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from math import gcd
 from pathlib import Path
 
 from . import ENGINE_VERSION
-from .groebner import DEFAULT_BUDGET, _reduce_full, kernel_basis, verify_basis
+from .groebner import DEFAULT_BUDGET, _all_reduce_to_zero, kernel_basis, verify_basis
 from .polyring import _FIELD_BITS, field_from_descriptor, order_from_descriptor, packing
 
 _FORMAT = "hankelkit-gb-3"
@@ -71,9 +73,8 @@ def engine_digest() -> str:
     return h.hexdigest()
 
 
-def cache_key(ideal, order, generators: list) -> str:
-    """The entry key of ``ideal`` under ``order``, given the kernel terms of
-    its generators in that order's packing."""
+def cache_key(ideal, order) -> str:
+    """The entry key of ``ideal`` under ``order``."""
     h = hashlib.sha256()
     h.update(_FORMAT.encode())
     h.update(ENGINE_VERSION.encode())
@@ -81,7 +82,7 @@ def cache_key(ideal, order, generators: list) -> str:
     h.update(ideal.field.descriptor().encode())
     h.update(str(ideal.nvars).encode())
     h.update(order.descriptor().encode())
-    for terms in generators:
+    for terms in ideal.kernel_terms(order):
         h.update(b"\n")
         h.update(repr(sorted(terms.items())).encode())
     return h.hexdigest()
@@ -112,20 +113,21 @@ def _elements(basis, pk, p: int) -> list:
     return elements
 
 
-def _check(entries: list, generators: list, pk, p: int) -> None:
-    """ValueError unless the leads of the entries increase strictly, none
-    divides another and every generator reduces to zero against them."""
+def _check(gb, generators, pk) -> None:
+    """ValueError unless the leads of the basis increase strictly, none
+    divides another and every generator reduces to zero against it."""
     guard = pk.guard
+    entries = gb.entries
     divisors = [e[1] for e in entries]
     for i, (lead, d, *_) in enumerate(entries):
         if i and lead <= entries[i - 1][0]:
             raise ValueError("leads out of order")
+        # a lead divides only larger ones, and the leads before it are smaller
         e = guard - d
-        if sum((e + dd) & guard == guard for dd in divisors) != 1:
+        if any((e + dd) & guard == guard for dd in divisors[:i]):
             raise ValueError("a lead divides another")
-    for terms in generators:
-        if _reduce_full(terms, entries, pk, p, DEFAULT_BUDGET.max_terms)[0]:
-            raise ValueError("a generator does not reduce to zero")
+    if not _all_reduce_to_zero(generators, gb, DEFAULT_BUDGET.max_terms):
+        raise ValueError("a generator does not reduce to zero")
 
 
 class GroebnerCache:
@@ -136,15 +138,13 @@ class GroebnerCache:
         self.misses = 0
         self.evictions = []
 
-    def _path(self, ideal, order, generators: list) -> Path:
-        """The entry path of ``ideal`` under ``order``, given the kernel terms
-        of its generators in that order's packing."""
-        key = cache_key(ideal, order, generators)
-        return self.directory / "gb" / f"{key}.txt"
+    def _path(self, ideal, order) -> Path:
+        """The entry path of ``ideal`` under ``order``."""
+        return self.directory / "gb" / f"{cache_key(ideal, order)}.txt"
 
-    def get(self, ideal, order, generators: list):
+    def get(self, ideal, order):
         fld = ideal.field
-        path = self._path(ideal, order, generators)
+        path = self._path(ideal, order)
         if not path.exists():
             self.misses += 1
             return None
@@ -155,7 +155,7 @@ class GroebnerCache:
             pk = packing(order, ideal.nvars)
             elements = _elements(data["basis"], pk, fld.characteristic)
             gb = kernel_basis(fld, ideal.nvars, order, elements, {"from_cache": True})
-            _check(gb.entries, generators, pk, fld.characteristic)
+            _check(gb, ideal.kernel_terms(order), pk)
         except Exception as exc:
             self._evict(path, f"rejected: {exc}")
             self.misses += 1
@@ -163,8 +163,8 @@ class GroebnerCache:
         self.hits += 1
         return gb
 
-    def put(self, ideal, order, generators: list, gb) -> None:
-        path = self._path(ideal, order, generators)
+    def put(self, ideal, order, gb) -> None:
+        path = self._path(ideal, order)
         data = _entry_bytes(path.stem, {
             "format": _FORMAT,
             "engine": ENGINE_VERSION,
@@ -185,7 +185,7 @@ class GroebnerCache:
     def _load(self, path: Path, fld) -> dict:
         """The entry at ``path`` as a dict; ValueError unless its digest
         matches and it is a JSON object of this format for the field
-        ``fld``."""
+        ``fld`` (for any field when ``fld`` is None)."""
         with open(path, "rb") as fh:
             raw = fh.read()
         body = raw[:-_TAIL_BYTES]
@@ -194,7 +194,7 @@ class GroebnerCache:
         data = json.loads(raw)
         if not isinstance(data, dict) or data.get("format") != _FORMAT:
             raise ValueError(f"not a {_FORMAT} entry")
-        if data.get("field") != fld.descriptor():
+        if fld is not None and data.get("field") != fld.descriptor():
             raise ValueError("metadata mismatch")
         return data
 
@@ -236,9 +236,8 @@ class GroebnerCache:
         checked, evicted = [], []
         for path in chosen:
             try:
-                with open(path, "rb") as fh:
-                    fld = field_from_descriptor(json.load(fh)["field"])
-                data = self._load(path, fld)
+                data = self._load(path, None)
+                fld = field_from_descriptor(data["field"])
                 order = order_from_descriptor(data["order"])
                 nvars = data["nvars"]
                 pk = packing(order, nvars)

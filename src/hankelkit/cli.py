@@ -27,7 +27,7 @@ from typing import Callable, Optional
 
 from . import ENGINE_VERSION, gradient, groebner, minorposet
 from .cache import GroebnerCache
-from .groebner import BudgetExceededError, GBBudget, Ideal
+from .groebner import BudgetExceededError, GBBudget
 from .polyring import (
     DEGREVLEX,
     PolyError,
@@ -126,8 +126,7 @@ def cmd_codim_minors(m, r, t, cfg: RunConfig):
     if not 1 <= t <= m:
         raise UsageError(f"t={t} outside 1..{m}")
     h = hankel_square(m, r, cfg.field)
-    ideal = Ideal(cfg.field, h.nvars, [mn.value for mn in h.minors(t)])
-    codim = groebner.codimension(ideal, cfg.order, cfg.budget, cfg.cache)
+    codim = groebner.codimension(h.minor_ideal(t), cfg.order, cfg.budget, cfg.cache)
     expect = min(2 * (m - t) + 1, 2 * m - t - r)
     verdict = "pass" if codim == expect else "fail"
     return verdict, {"codim": codim, "expected": expect, "t": t}
@@ -225,10 +224,8 @@ def cmd_linear_rank(m, r, cfg: RunConfig):
 
 def _reduction_cell(m, r, field, nmax: int) -> dict:
     """The witness of the reduction-number check over ``field``."""
-    h = hankel_square(m, r, field)
-    J = gradient.gradient(m, r, field).ideal()
-    I = Ideal(field, h.nvars, [mn.value for mn in h.minors(m - 1)])
-    return groebner.reduction_check(J, I, nmax)
+    data = gradient.gradient(m, r, field)
+    return groebner.reduction_check(data.ideal(), data.matrix.minor_ideal(m - 1), nmax)
 
 
 def cmd_reduction_check(m, r, cfg: RunConfig, nmax: int = 3):

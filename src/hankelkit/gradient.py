@@ -347,8 +347,7 @@ def minimal_primes_checks(m: int, r: int, budget: Optional[GBBudget] = None,
     n = data.nvars
     targets = [i if i < m else None for i in range(1, n + 1)]
     in_q = all(fk.rename(n, targets).is_zero() for fk in data.partials)
-    p_gens = [mn.value for mn in data.matrix.minors(m - 1)]
-    P = Ideal(QQ, n, p_gens)
+    P = data.matrix.minor_ideal(m - 1)
     Q = Ideal(QQ, n, [Polynomial.variable(QQ, n, i) for i in range(m, n + 1)])
     budget_hit = False
     in_p = codim_q = codim_p = codims_ok = radical_spot = None

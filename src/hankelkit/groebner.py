@@ -18,11 +18,15 @@ so far never becomes an element, and the final tail reduction runs in
 increasing lead order against the elements already reduced.  One
 division loop, ``_reduce_full``, serves the basis computation, normal forms,
 membership, ideal equality and basis verification; it takes leads from a
-max-heap of the keys in flight, and the reductions of one basis computation
-share a memo of the first basis element whose lead divides each key.  A
-``GroebnerBasis`` holds only kernel entries: generators are encoded once
-when they come in, and a basis is decoded to polynomials only when a caller
-reads its ``polys`` (``elimination`` decodes only the elements it keeps).
+max-heap of the keys in flight, and the reductions against one growing list
+of elements share a memo of the first element whose lead divides each key.
+An ``Ideal`` encodes its generators once per packing (``kernel_terms``), or
+is built from kernel terms (the minors of ``symmatrix``) and decodes its
+generators only when they are read.  A ``GroebnerBasis`` holds only kernel
+entries and the divisor memo that every reduction against it shares (from
+the final tail reduction, or from the cache's on-hit check); it is decoded
+to polynomials only when a caller reads its ``polys`` (``elimination``
+decodes only the elements it keeps).
 
 Over QQ every intermediate polynomial is kept integer and primitive; leading
 coefficients are only normalized in the final reduced basis.  Budgets make
@@ -36,7 +40,7 @@ import heapq
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 from operator import itemgetter
 from typing import Optional, Sequence
 
@@ -78,12 +82,17 @@ DEFAULT_BUDGET = GBBudget()
 class Ideal:
     """An ordered generator list over one ring.
 
-    Generators are nonzero, deduplicated and, over QQ, integer-primitive with
-    a positive leading coefficient, so the generator list is canonical given
-    the caller's order.
+    Generators are nonzero, deduplicated (the first occurrence stays) and
+    normalized under degrevlex: over QQ integer-primitive with a positive
+    leading coefficient, over GF(p) monic, so the generator list is canonical
+    given the caller's order.  An ideal is built from polynomials or, through
+    ``from_kernel``, straight from kernel terms on the degrevlex packing (the
+    minors of ``symmatrix``).  Generators are encoded once: ``kernel_terms``
+    encodes them on a packing at most once per packing, and an ideal built
+    from kernel terms decodes ``generators`` only when a caller reads them.
     """
 
-    __slots__ = ("field", "nvars", "generators")
+    __slots__ = ("field", "nvars", "_polys", "_terms")
 
     def __init__(self, field, nvars: int, generators: Sequence[Polynomial]):
         seen = set()
@@ -104,29 +113,89 @@ class Ideal:
             gens.append(g)
         self.field = field
         self.nvars = nvars
-        self.generators = tuple(gens)
+        self._polys = tuple(gens)
+        self._terms = {}        # packing -> the generators' kernel terms on it
+
+    @classmethod
+    def from_kernel(cls, field, nvars: int, generators) -> "Ideal":
+        """The ideal of polynomials given as kernel terms on the degrevlex
+        packing with their true coefficients, normalized as ``Ideal`` would
+        normalize the polynomials: the degrevlex lead is the largest key."""
+        p = field.characteristic
+        seen = set()
+        gens = []
+        for terms in generators:
+            if not terms:
+                continue
+            lc = terms[max(terms)]
+            if p:
+                if lc != 1:
+                    inv = pow(lc, p - 2, p)
+                    terms = {k: c * inv % p for k, c in terms.items()}
+            else:
+                if any(type(c) is not int for c in terms.values()):
+                    den = lcm(*(c.denominator for c in terms.values()))
+                    terms = {k: c.numerator * (den // c.denominator) for k, c in terms.items()}
+                content = gcd(*terms.values())
+                if lc < 0:
+                    content = -content
+                if content != 1:
+                    terms = {k: c // content for k, c in terms.items()}
+            key = frozenset(terms.items())
+            if key in seen:
+                continue
+            seen.add(key)
+            gens.append(terms)
+        ideal = cls.__new__(cls)
+        ideal.field = field
+        ideal.nvars = nvars
+        ideal._polys = None
+        ideal._terms = {packing(DEGREVLEX, nvars): tuple(gens)}
+        return ideal
+
+    @property
+    def generators(self) -> tuple:
+        if self._polys is None:
+            pk = packing(DEGREVLEX, self.nvars)
+            self._polys = tuple(_from_kernel(t, pk, self.field, self.nvars)
+                                for t in self._terms[pk])
+        return self._polys
+
+    def kernel_terms(self, order: MonomialOrder = DEGREVLEX) -> tuple:
+        """The generators' terms on the packing of ``order``: integers,
+        primitive with the positive degrevlex lead over QQ, residues over
+        GF(p).  Encoded on the first call for each packing."""
+        pk = packing(order, self.nvars)
+        terms = self._terms.get(pk)
+        if terms is None:
+            terms = self._terms[pk] = tuple(_to_kernel(g, pk)[0] for g in self.generators)
+        return terms
 
     def __repr__(self):
         return f"Ideal({self.field!r}, {self.nvars} vars, {len(self.generators)} gens)"
 
     def degrees(self) -> set:
-        return {g.total_degree() for g in self.generators}
+        degree = packing(DEGREVLEX, self.nvars).degree
+        return {degree(max(t)) for t in self.kernel_terms()}
 
     def is_equigenerated(self) -> bool:
-        return (len(self.degrees()) == 1
-                and all(g.is_homogeneous() for g in self.generators))
+        degree = packing(DEGREVLEX, self.nvars).degree
+        return len({degree(k) for t in self.kernel_terms() for k in t}) == 1
 
 
 @dataclass
 class GroebnerBasis:
     """A reduced basis as its kernel entries (see ``_entry``) in increasing
-    lead order; ``polys`` decodes them on first read."""
+    lead order; ``polys`` decodes them on first read.  ``memo`` is the
+    divisor memo (see ``_reduce_full``) that every reduction against the
+    entries shares."""
 
     field: object
     nvars: int
     order: MonomialOrder
     entries: list
     stats: dict = dc_field(default_factory=dict)
+    memo: dict = dc_field(default_factory=dict, compare=False, repr=False)
 
     @cached_property
     def polys(self) -> tuple:
@@ -325,14 +394,17 @@ def _lcm_key(e: int, pk: MonomialPacking) -> int:
     return key
 
 
-def _interreduce(entries: list, pk: MonomialPacking, p: int, arena_limit: int) -> list:
+def _interreduce(entries: list, pk: MonomialPacking, p: int, arena_limit: int,
+                 memo: Optional[dict] = None) -> list:
     """The reduced basis of a Groebner basis given as entries, in increasing
     lead order.
 
     Keeps the elements whose lead no other lead divides, then tail-reduces
     each, in increasing lead order, against the elements already reduced: a
     lead that divides a tail term lies below it, so only they can.  The
-    reductions share one divisor memo (see ``_reduce_full``).
+    reductions share one divisor memo (see ``_reduce_full``): ``memo``, or a
+    fresh dict when None.  It stays valid for the reduced basis, which only
+    grew by appending.
     """
     guard = pk.guard
     minimal: list = []
@@ -341,7 +413,8 @@ def _interreduce(entries: list, pk: MonomialPacking, p: int, arena_limit: int) -
         if not any((e + m[1]) & guard == guard for m in minimal):
             minimal.append(entry)
     reduced: list = []
-    memo: dict = {}
+    if memo is None:
+        memo = {}
     for lead, _, lc, tail, _ in minimal:
         nf = _reduce_full({lead: lc, **dict(tail)}, reduced, pk, p, arena_limit, memo)[0]
         reduced.append(_entry(nf, pk, p))
@@ -376,9 +449,9 @@ def buchberger(ideal: Ideal, order: MonomialOrder = DEGREVLEX,
     budget = budget or DEFAULT_BUDGET
     p = ideal.field.characteristic
     pk = packing(order, ideal.nvars)
-    generators = [_to_kernel(g, pk)[0] for g in ideal.generators]
+    generators = ideal.kernel_terms(order)
     if cache is not None:
-        hit = cache.get(ideal, order, generators)
+        hit = cache.get(ideal, order)
         if hit is not None:
             return hit
     guard = pk.guard
@@ -468,12 +541,22 @@ def buchberger(ideal: Ideal, order: MonomialOrder = DEGREVLEX,
         if term_total > budget.max_terms:
             raise BudgetExceededError("term arena", budget.max_terms)
 
-    reduced = _interreduce(entries, pk, p, budget.max_terms)
+    memo = {}               # the tail reductions' memo, kept by the reduced basis
+    reduced = _interreduce(entries, pk, p, budget.max_terms, memo)
     stats.update(basis_size=len(reduced), from_cache=False)
-    gb = GroebnerBasis(ideal.field, ideal.nvars, order, reduced, stats)
+    gb = GroebnerBasis(ideal.field, ideal.nvars, order, reduced, stats, memo)
     if cache is not None:
-        cache.put(ideal, order, generators, gb)
+        cache.put(ideal, order, gb)
     return gb
+
+
+def _all_reduce_to_zero(generators, gb: GroebnerBasis, max_terms: int) -> bool:
+    """Whether every one of the kernel terms ``generators``, on the packing
+    of the basis, reduces to zero against it."""
+    pk = packing(gb.order, gb.nvars)
+    p = gb.field.characteristic
+    return not any(_reduce_full(terms, gb.entries, pk, p, max_terms, gb.memo)[0]
+                   for terms in generators)
 
 
 def normal_form(p: Polynomial, gb: GroebnerBasis,
@@ -485,7 +568,7 @@ def normal_form(p: Polynomial, gb: GroebnerBasis,
     pk = packing(gb.order, gb.nvars)
     terms, scale = _to_kernel(p, pk)
     rem, rem_scale = _reduce_full(terms, gb.entries, pk, gb.field.characteristic,
-                                  (budget or DEFAULT_BUDGET).max_terms)
+                                  (budget or DEFAULT_BUDGET).max_terms, gb.memo)
     return _from_kernel(rem, pk, p.field, p.nvars, scale * rem_scale)
 
 
@@ -495,10 +578,8 @@ def reduces_to_zero(p: Polynomial, gb: GroebnerBasis,
     budget).is_zero()`` without rescaling the remainder."""
     if p.field != gb.field or p.nvars != gb.nvars:
         raise PolyError("polynomial outside the basis ring")
-    pk = packing(gb.order, gb.nvars)
-    terms = _to_kernel(p, pk)[0]
-    return not _reduce_full(terms, gb.entries, pk, gb.field.characteristic,
-                            (budget or DEFAULT_BUDGET).max_terms)[0]
+    terms = _to_kernel(p, packing(gb.order, gb.nvars))[0]
+    return _all_reduce_to_zero([terms], gb, (budget or DEFAULT_BUDGET).max_terms)
 
 
 def ideal_membership(p: Polynomial, ideal: Ideal, order: MonomialOrder = DEGREVLEX,
@@ -514,10 +595,10 @@ def ideal_equal(a: Ideal, b: Ideal, order: MonomialOrder = DEGREVLEX,
         raise PolyError("ideals live in different rings")
     budget = budget or DEFAULT_BUDGET
     gb_a = buchberger(a, order, budget, cache)
-    if not all(reduces_to_zero(g, gb_a, budget) for g in b.generators):
+    if not _all_reduce_to_zero(b.kernel_terms(order), gb_a, budget.max_terms):
         return False
     gb_b = buchberger(b, order, budget, cache)
-    return all(reduces_to_zero(g, gb_b, budget) for g in a.generators)
+    return _all_reduce_to_zero(a.kernel_terms(order), gb_b, budget.max_terms)
 
 
 def dimension(ideal: Ideal, order: MonomialOrder = DEGREVLEX,
@@ -697,11 +778,11 @@ def reduction_check(J: Ideal, I: Ideal, nmax: int) -> dict:
         raise PolyError("J and I must share their generation degree")
     fld = I.field
     p = fld.characteristic
-    # every span holds kernel rows on the degrevlex packing: generators are
-    # encoded once, with their true coefficients, and products stay packed
-    pk = packing(DEGREVLEX, I.nvars)
-    gens_i = [_kernel_terms(g, pk) for g in I.generators]
-    gens_j = [_kernel_terms(g, pk) for g in J.generators]
+    # every span holds kernel rows on the degrevlex packing: the ideals'
+    # normalized generators, which span what the generators span, and their
+    # products, which stay packed
+    gens_i = I.kernel_terms()
+    gens_j = J.kernel_terms()
 
     # I_d is the span of I's generators, so J lies in I iff each of its
     # degree-d generators lies in that span

@@ -4,7 +4,8 @@ block partitions used by the gradient analysis.
 Every minor comes from one shared expansion (``SymMatrix._kernel_minors``):
 a single memoized pass on the packed kernel of ``polyring`` that yields all
 t x t minors of a matrix as kernel terms with their true coefficients, which
-``_expand_minors`` decodes for callers that want polynomials.  The
+``_expand_minors`` decodes for callers that want polynomials and
+``minor_ideal`` hands to an ``Ideal`` undecoded.  The
 determinant is its t = n case, ``minors(t)`` lists one pass, and
 ``cofactors``/``adjugate`` read all n^2 cofactors from one pass over the
 (n-1) x (n-1) minors.
@@ -306,9 +307,19 @@ class SymMatrix:
     def minors(self, t: int) -> list:
         """All t x t minors with (row-set, col-set) metadata, lexicographic
         order, read from one shared expansion."""
+        self._check_minor_size(t)
+        return list(self._expand_minors(t))
+
+    def minor_ideal(self, t: int) -> Ideal:
+        """I_t, the ideal of the t x t minors in the order of :meth:`minors`,
+        built from their kernel terms without decoding them."""
+        self._check_minor_size(t)
+        return Ideal.from_kernel(self.field, self.nvars,
+                                 (terms for _, _, terms in self._kernel_minors(t)))
+
+    def _check_minor_size(self, t: int) -> None:
         if not 1 <= t <= min(self.rows, self.cols):
             raise IndexRangeError(f"minor size {t} out of range")
-        return list(self._expand_minors(t))
 
     def __repr__(self):
         return f"SymMatrix({self.rows}x{self.cols}, {self.nvars} vars)"
@@ -369,16 +380,16 @@ def gruson_peskine_check(s: int, t_size: int, r: int, field=QQ) -> dict:
     small = hankel(HankelSpec(t_size, n - t_size + 1, r), field)
     if big.nvars != small.nvars:
         raise MatrixShapeError("shapes do not share a variable set")
-    gens_big = [mn.value for mn in big.minors(t_size)]
-    gens_small = [mn.value for mn in small.minors(t_size)]
-    span_big = _column_echelon((g.terms for g in gens_big), field)
-    span_small = _column_echelon((g.terms for g in gens_small), field)
+    # the spans of the normalized minors, on the shared degrevlex packing
+    gens_big = big.minor_ideal(t_size).kernel_terms()
+    gens_small = small.minor_ideal(t_size).kernel_terms()
+    span_big = _column_echelon(gens_big, field)
+    span_small = _column_echelon(gens_small, field)
     equal = (span_big.dim == span_small.dim
-             and all(span_big.contains(g.terms) for g in gens_small))
-    counts = [len(Ideal(field, big.nvars, gens).generators)
-              for gens in (gens_big, gens_small)]
+             and all(span_big.contains(g) for g in gens_small))
     return {"s": s, "t": t_size, "n": n, "r": r, "equal": equal,
-            "span_dims": [span_big.dim, span_small.dim], "generator_counts": counts}
+            "span_dims": [span_big.dim, span_small.dim],
+            "generator_counts": [len(gens_big), len(gens_small)]}
 
 
 @dataclass

@@ -1,20 +1,25 @@
 """The disk cache's entry layout: a put/get round trip gives back the basis
 byte for byte with its kernel entries, a miss and its put encode each
 generator once, and an entry that is tampered with or written in another
-layout is evicted at ``get`` and recomputed, never served."""
+layout is evicted at ``get`` (or by ``verify``) and recomputed, never
+served.  The divisor memo that the on-hit check warms serves later
+reductions against the basis without changing their answers."""
 
 import json
+import random
 import sys
 import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hankelkit import cache as cache_module
 from hankelkit import polyring
-from hankelkit.cache import GroebnerCache, _entry_bytes
-from hankelkit.groebner import Ideal, _entry, buchberger
+from hankelkit.cache import GroebnerCache, _check, _entry_bytes
+from hankelkit.groebner import (GroebnerBasis, Ideal, _all_reduce_to_zero, _entry,
+                                buchberger, kernel_basis, normal_form, reduces_to_zero)
 from hankelkit.polyring import (DEGREVLEX, LEX, BlockOrder, Polynomial, PrimeField, QQ,
-                                _to_kernel, packing)
+                                _to_kernel, packing, parse_polynomial)
 from hankelkit.symmatrix import hankel_square
 
 NVARS = 3
@@ -68,8 +73,14 @@ def test_a_miss_and_its_put_encode_each_generator_once(tmp_path, monkeypatch):
     assert (cache.misses, len(cache.entries())) == (1, 1)
     assert encoded == list(ideal.generators)
     encoded.clear()
+    # the ideal keeps its terms on a packing: a hit on it encodes nothing
     assert buchberger(ideal, cache=cache).stats["from_cache"]
-    assert encoded == list(ideal.generators)
+    assert encoded == []
+    # a fresh ideal on the same generators encodes each once for its hit
+    fresh = gradient_ideal(QQ)
+    assert buchberger(fresh, cache=cache).stats["from_cache"]
+    assert encoded == list(fresh.generators)
+    assert cache.hits == 2
 
 
 def generator_index(data, ideal, order=DEGREVLEX):
@@ -150,3 +161,102 @@ def test_tampered_entry_is_evicted_and_recomputed(tmp_path, field, tamper):
     assert ("digest mismatch" in reason) == (text is not None)
     # the recomputed basis replaced the evicted entry
     assert buchberger(ideal, cache=cache).stats["from_cache"] and cache.hits == 1
+
+
+def resign(entry, data) -> None:
+    """Write ``data`` back to ``entry`` under a digest that matches it."""
+    data.pop("digest", None)
+    entry.write_bytes(_entry_bytes(entry.stem, data))
+
+
+def test_on_hit_check_evicts_a_basis_without_what_a_later_generator_needs(tmp_path):
+    # the reduced basis is [x2^2 + x2*x3, x1^2 - x2*x3]; only the second
+    # generator needs x2^2 + x2*x3, and its lead x1^2 is a key the first
+    # generator's reduction has put in the memo by then
+    ideal = Ideal(QQ, 3, [parse_polynomial(t, QQ, 3) for t in ("x1^2-x2*x3", "x1^2+x2^2")])
+    cache = GroebnerCache(tmp_path)
+    expected = buchberger(ideal, cache=cache).entries
+    # a hit on the intact entry first, its memo warmed further
+    intact = buchberger(ideal, cache=cache)
+    assert intact.stats["from_cache"] and reduces_to_zero(ideal.generators[1], intact)
+    entry, = cache.entries()
+    data = json.loads(entry.read_text())
+    assert len(data["basis"]) == 2
+    del data["basis"][0]
+    resign(entry, data)
+    # the memo is warm when the second generator comes, and it still fails
+    pk = packing(DEGREVLEX, 3)
+    first, second = ideal.kernel_terms()
+    damaged = kernel_basis(QQ, 3, DEGREVLEX, [dict(pairs) for pairs in data["basis"]], {})
+    assert _all_reduce_to_zero([first], damaged, 10 ** 6)
+    assert max(second) in damaged.memo
+    with pytest.raises(ValueError, match="does not reduce to zero"):
+        _check(damaged, ideal.kernel_terms(), pk)
+    served = buchberger(ideal, cache=cache)
+    assert not served.stats["from_cache"] and served.entries == expected
+    [(name, reason)] = cache.evictions
+    assert name == entry.name and "does not reduce to zero" in reason
+
+
+def test_on_hit_check_rejects_a_lead_that_divides_a_later_one():
+    pk = packing(DEGREVLEX, 2)
+    x1, x1x2 = pk.encode((1, 0)), pk.encode((1, 1))
+    basis = kernel_basis(QQ, 2, DEGREVLEX, [{x1: 1}, {x1x2: 1}], {})
+    with pytest.raises(ValueError, match="a lead divides another"):
+        _check(basis, [], pk)
+    _check(kernel_basis(QQ, 2, DEGREVLEX, [{x1: 1}, {pk.encode((0, 2)): 1}], {}), [], pk)
+
+
+def test_verify_parses_each_entry_once_and_evicts_foreign_or_damaged_entries(
+        tmp_path, monkeypatch):
+    cache = GroebnerCache(tmp_path)
+    for field in (QQ, PrimeField(3)):
+        buchberger(gradient_ideal(field), cache=cache)
+    good, foreign = cache.entries()
+    buchberger(Ideal(QQ, 2, [parse_polynomial("x1^2-x2", QQ, 2)]), cache=cache)
+    damaged, = set(cache.entries()) - {good, foreign}
+    data = json.loads(foreign.read_text())
+    data["field"] = "Z"
+    resign(foreign, data)
+    damaged.write_bytes(damaged.read_bytes().replace(b'"digest":"', b'"digest":"0'))
+    parses = []
+    loads = json.loads
+
+    def counted(raw, *args, **kwargs):
+        parses.append(raw)
+        return loads(raw, *args, **kwargs)
+
+    # json.load parses through json.loads too
+    monkeypatch.setattr(cache_module.json, "loads", counted)
+    report = cache.verify(random.Random(0))
+    assert len(parses) == 2         # the damaged digest fails before any parse
+    assert report == {"checked": [good.name], "evicted": sorted([foreign.name, damaged.name])}
+    reasons = dict(cache.evictions)
+    assert "unknown field descriptor 'Z'" in reasons[foreign.name]
+    assert "digest mismatch" in reasons[damaged.name]
+    assert cache.entries() == [good]
+
+
+small_probes = st.dictionaries(
+    st.tuples(*[st.integers(min_value=0, max_value=3)] * NVARS),
+    st.integers(min_value=-3, max_value=3), min_size=1, max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(small_terms, min_size=1, max_size=3), st.lists(small_probes, max_size=4),
+       st.sampled_from(FIELDS), st.sampled_from(ORDERS))
+def test_reductions_against_a_warmed_memo_match_fresh_ones(gens, probes, field, order):
+    ideal = Ideal(field, NVARS, [Polynomial(field, NVARS, g) for g in gens])
+    with tempfile.TemporaryDirectory() as directory:
+        cache = GroebnerCache(directory)
+        computed = buchberger(ideal, order, cache=cache)     # the memo of _interreduce
+        served = buchberger(ideal, order, cache=cache)       # the memo of the check
+    assert served.stats["from_cache"]
+    probes = [Polynomial(field, NVARS, q) for q in probes] + list(ideal.generators)
+    for basis in (computed, served):
+        assert bool(basis.memo) == bool(basis.entries)      # warm before any probe
+        for q in probes:
+            fresh = GroebnerBasis(field, NVARS, order, basis.entries)
+            assert not fresh.memo
+            assert normal_form(q, basis) == normal_form(q, fresh)
+            assert reduces_to_zero(q, basis) == reduces_to_zero(q, fresh)

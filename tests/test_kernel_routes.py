@@ -3,22 +3,28 @@ references.
 
 The relation spaces of ``fiber-kernel``, the linear syzygies, the cofactor
 and Euler checks of ``gradient`` and the spans of ``reduction-check`` build
-their products and sums on packed kernel terms.  Each reference below is the
-same computation on ``Polynomial`` values (products by ``*``, sums by ``+``,
-spans and matrices keyed by exponent tuples); both routes must give the same
-answer."""
+their products and sums on packed kernel terms, and the minor ideals are
+built from kernel terms without a ``Polynomial`` in between.  Each reference
+below is the same computation on ``Polynomial`` values (products by ``*``,
+sums by ``+``, spans and matrices keyed by exponent tuples, ideals from
+polynomials); both routes must give the same answer."""
 
 from dataclasses import replace
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from hankelkit import cli
 from hankelkit import gradient as gr
 from hankelkit import groebner as gb
 from hankelkit import minorposet as mp
+from hankelkit import symmatrix
+from hankelkit.cache import cache_key
 from hankelkit.groebner import Ideal
 from hankelkit.linalg import SpanEchelon, coefficient_rows, nullspace, poly_matrix_rank
-from hankelkit.polyring import DEGREVLEX, Polynomial, PrimeField, QQ, packing
+from hankelkit.polyring import (DEGREVLEX, LEX, BlockOrder, Polynomial, PrimeField, QQ,
+                                _kernel_terms, packing, parse_polynomial)
 from hankelkit.symmatrix import SymMatrix, hankel_square
 
 FIELDS = [QQ, PrimeField(3), PrimeField(5), PrimeField(32003)]
@@ -231,3 +237,108 @@ def test_reduction_steps_match_the_polynomial_route_mod_p(field):
         J, I = reduction_cell(m, r, field)
         assert gb.reduction_check(J, I, 1)["steps"] == \
             reduction_steps_reference(J, I, 1), (m, r)
+
+
+# -- ideals built from kernel terms --------------------------------------------------
+
+ORDERS = [DEGREVLEX, LEX, BlockOrder(1), BlockOrder(2)]
+
+
+def both_routes(field, nvars, polys):
+    """An ideal from ``polys`` and a maker of fresh ideals from their kernel
+    terms (true coefficients on the degrevlex packing)."""
+    pk = packing(DEGREVLEX, nvars)
+    terms = [_kernel_terms(g, pk) for g in polys]
+    return Ideal(field, nvars, polys), lambda: Ideal.from_kernel(field, nvars, terms)
+
+
+def assert_routes_agree(field, nvars, polys):
+    via_polys, via_kernel = both_routes(field, nvars, polys)
+    # generators first on one fresh ideal, the kernel reads first on another
+    decoded = via_kernel().generators
+    assert [g.to_string() for g in decoded] == [g.to_string() for g in via_polys.generators]
+    assert decoded == via_polys.generators
+    lazy = via_kernel()
+    for order in ORDERS:
+        terms = lazy.kernel_terms(order)
+        assert terms == via_polys.kernel_terms(order)
+        assert all(type(c) is int for t in terms for c in t.values())
+        assert cache_key(lazy, order) == cache_key(via_polys, order)
+        assert gb.buchberger(lazy, order).entries == gb.buchberger(via_polys, order).entries
+    assert lazy.generators == via_polys.generators
+
+
+def parse_all(texts, field, nvars):
+    return [parse_polynomial(t, field, nvars) for t in texts]
+
+
+def test_kernel_route_normalizes_like_the_polynomial_route_over_qq():
+    polys = parse_all([
+        "6*x1^2-4*x2*x3",               # integer, content 2
+        "1/2*x1*x2+1/3*x3^2-x1",        # fractional
+        "-x2^2+x1*x3",                  # negative degrevlex lead
+        "6*x1^2-4*x2*x3",               # an exact duplicate
+        "3*x2^2-3*x1*x3",               # a duplicate up to sign and content
+        "0",
+        "x3^3+2*x1",
+    ], QQ, 3)
+    assert_routes_agree(QQ, 3, polys)
+    _, via_kernel = both_routes(QQ, 3, polys)
+    assert [g.to_string() for g in via_kernel().generators] == [
+        "3*x1^2-2*x2*x3", "3*x1*x2+2*x3^2-6*x1", "x2^2-x1*x3", "x3^3+2*x1"]
+
+
+@pytest.mark.parametrize("field", [PrimeField(3), PrimeField(32003)], ids=["F3", "F32003"])
+def test_kernel_route_normalizes_like_the_polynomial_route_mod_p(field):
+    polys = parse_all(["2*x1^2+x2*x3", "x1*x2+2*x3^2+1", "x1^2+2*x2*x3", "0",
+                       "-x2^2+x1*x3", "x3^3+x1"], field, 3)
+    assert_routes_agree(field, 3, polys)
+    _, via_kernel = both_routes(field, 3, polys)
+    # 2*x1^2 + x2*x3 is a multiple of x1^2 + 2*x2*x3 only mod 3
+    assert len(via_kernel().generators) == (4 if field.p == 3 else 5)
+    assert all(t[max(t)] == 1 for t in via_kernel().kernel_terms())
+
+
+small_polys = st.dictionaries(
+    st.tuples(*[st.integers(min_value=0, max_value=2)] * 3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4), max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(small_polys, max_size=4), st.sampled_from([QQ, PrimeField(3), PrimeField(32003)]),
+       st.booleans())
+def test_kernel_route_matches_the_polynomial_route(gens, field, repeat):
+    # mod p the numerators alone: a denominator may be p
+    polys = [Polynomial(field, 3, g if field == QQ else
+                        {e: c.numerator for e, c in g.items()})
+             for g in gens]
+    if repeat and polys:
+        polys.append(polys[0].scale(-2 if field == QQ else 2))
+    assert_routes_agree(field, 3, polys)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["QQ", "F3"])
+@pytest.mark.parametrize("m,r,t", [(3, 0, 2), (4, 1, 2), (4, 0, 3), (5, 2, 4)])
+def test_minor_ideal_matches_the_ideal_of_the_decoded_minors(m, r, t, field):
+    h = hankel_square(m, r, field)
+    reference = Ideal(field, h.nvars, [mn.value for mn in h.minors(t)])
+    ideal = h.minor_ideal(t)
+    assert ideal.kernel_terms() == reference.kernel_terms()
+    assert ideal.generators == reference.generators
+    assert ideal.degrees() == reference.degrees() == {t}
+    assert ideal.is_equigenerated()
+
+
+def test_codim_minors_decodes_no_minor(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a minor was decoded")
+
+    monkeypatch.setattr(symmatrix.SymMatrix, "minors", refuse)
+    monkeypatch.setattr(symmatrix, "_from_kernel", refuse)
+    monkeypatch.setattr(gb, "_from_kernel", refuse)
+    cfg = cli._build_config("q", "degrevlex", 0, 200_000, None, None)
+    assert cli.cmd_codim_minors(4, 0, 3, cfg) == ("pass", {"codim": 3, "expected": 3, "t": 3})
+    sample = hankel_square(4, 1).minor_ideal(2)
+    assert gb.codimension(sample) == 5
+    with pytest.raises(AssertionError, match="decoded"):
+        sample.generators
