@@ -135,10 +135,9 @@ def cmd_codim_minors(m, r, t, cfg: RunConfig):
 def cmd_codim_gradient(m, r, cfg: RunConfig):
     if m < 3:
         raise UsageError("the codimension table starts at m = 3")
-    codim = gradient.gradient_codim(m, r, cfg.budget, cfg.cache)
-    expect = 2 if m - r == 2 else 3
-    verdict = "pass" if codim == expect else "fail"
-    return verdict, {"codim": codim, "expected": expect}
+    witness = gradient.gradient_codim_witness(m, r, cfg.budget, cfg.cache)
+    witness["expected"] = 2 if m - r == 2 else 3
+    return ("pass" if witness["codim"] == witness["expected"] else "fail"), witness
 
 
 def cmd_gp_check(m, r, t, cfg: RunConfig):

@@ -50,12 +50,13 @@ class GradientData:
     @cached_property
     def kernel_partials(self) -> list:
         """Each partial as kernel terms on the degrevlex packing, encoded
-        once for both checks."""
+        once for both checks and the ideal."""
         pk = packing(DEGREVLEX, self.nvars)
         return [_kernel_terms(fk, pk) for fk in self.partials]
 
     def ideal(self) -> Ideal:
-        return Ideal(self.f.field, self.nvars, list(self.partials))
+        """J, the gradient ideal, built from the kernel partials."""
+        return Ideal.from_kernel(self.f.field, self.nvars, self.kernel_partials)
 
 
 def gradient(m: int, r: int, field=QQ) -> GradientData:
@@ -325,10 +326,30 @@ def cofactor_relations_check(m: int, r: int, field=QQ,
 
 def gradient_codim(m: int, r: int, budget: Optional[GBBudget] = None,
                    cache=None) -> int:
+    return gradient_codim_witness(m, r, budget, cache)["codim"]
+
+
+def gradient_codim_witness(m: int, r: int, budget: Optional[GBBudget] = None,
+                           cache=None) -> dict:
+    """codim J with how it was found: ``{"codim", "route", "elements"}``.
+
+    At m - r >= 3 the route is "certificate": J lies in P, the ideal of the
+    submaximal minors, and ``groebner.certified_codimension`` stops J's
+    basis once the lead bound meets codim P, after ``elements`` elements.
+    At m - r = 2, where codim J = 2 is below codim P, and wherever the
+    bounds never meet, the route is "basis": the full reduced basis of J
+    gives the codimension and ``elements`` is None."""
     if m - r < 2:
         raise IndexRangeError("the codimension statement needs m - r >= 2")
     data = gradient(m, r)
-    return groebner.codimension(data.ideal(), DEGREVLEX, budget, cache)
+    J = data.ideal()
+    if m - r >= 3:
+        codim, elements = groebner.certified_codimension(
+            J, data.matrix.minor_ideal(m - 1), budget, cache)
+    else:
+        codim, elements = groebner.codimension(J, DEGREVLEX, budget, cache), None
+    return {"codim": codim, "route": "basis" if elements is None else "certificate",
+            "elements": elements}
 
 
 def minimal_primes_checks(m: int, r: int, budget: Optional[GBBudget] = None,
@@ -347,13 +368,15 @@ def minimal_primes_checks(m: int, r: int, budget: Optional[GBBudget] = None,
     n = data.nvars
     targets = [i if i < m else None for i in range(1, n + 1)]
     in_q = all(fk.rename(n, targets).is_zero() for fk in data.partials)
+    J = data.ideal()
     P = data.matrix.minor_ideal(m - 1)
     Q = Ideal(QQ, n, [Polynomial.variable(QQ, n, i) for i in range(m, n + 1)])
     budget_hit = False
     in_p = codim_q = codim_p = codims_ok = radical_spot = None
     try:
         gb_p = groebner.buchberger(P, DEGREVLEX, budget, cache)
-        in_p = all(groebner.reduces_to_zero(fk, gb_p, budget) for fk in data.partials)
+        in_p = groebner._all_reduce_to_zero(J.kernel_terms(), gb_p,
+                                            (budget or groebner.DEFAULT_BUDGET).max_terms)
         codim_q = groebner.codimension(Q, DEGREVLEX, budget, cache)
         codim_p = n - groebner.basis_dimension(gb_p)
         codims_ok = (codim_q == m - r) and (codim_p == 3)
@@ -361,7 +384,6 @@ def minimal_primes_checks(m: int, r: int, budget: Optional[GBBudget] = None,
         budget_hit = True
     if not budget_hit:
         try:
-            J = data.ideal()
             radical_spot = all(groebner.radical_membership(qg * pg, J, budget, cache)
                                for qg, pg in islice(product(Q.generators, P.generators), 4))
         except BudgetExceededError:

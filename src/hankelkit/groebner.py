@@ -11,11 +11,16 @@ fixed-width fields.  Plain int comparison is then the order, a product is
 ``+`` and divisibility is one guard-bit test.  The format, its degree bound
 ``MAX_DEGREE`` and the conversions to and from ``Polynomial`` live in
 ``polyring``, which also multiplies polynomials and ``symmatrix``
-determinants on it.  Buchberger takes generators and pairs from one sugar
-queue, pairs by sugar and then lcm degree, and prunes pairs with the
-Gebauer-Moeller update; a generator that reduces to zero against the basis
-so far never becomes an element, and the final tail reduction runs in
-increasing lead order against the elements already reduced.  One
+determinants on it.  Buchberger is one element stream
+(``_element_stream``), which yields each element as it joins the basis: it
+takes generators and pairs from one sugar queue, pairs by sugar and then
+lcm degree, and prunes pairs with the Gebauer-Moeller update; a generator
+that reduces to zero against the basis so far never becomes an element.
+``buchberger`` drains the stream and tail-reduces the result in increasing
+lead order against the elements already reduced; only such a reduced basis
+is ever cached.  ``certified_codimension`` stops the stream once the
+codimension of the leads so far meets that of an ideal known to contain
+the input, and caches nothing of the stopped run.  One
 division loop, ``_reduce_full``, serves the basis computation, normal forms,
 membership, ideal equality and basis verification; it takes leads from a
 max-heap of the keys in flight, and the reductions against one growing list
@@ -44,8 +49,7 @@ from math import gcd, lcm
 from operator import itemgetter
 from typing import Optional, Sequence
 
-from .linalg import (_column_echelon, coefficient_rows, nullspace, poly_divide_exact,
-                     poly_matrix_rank)
+from .linalg import _column_echelon, coefficient_rows, nullspace, poly_matrix_rank
 from .polyring import (  # MAX_DEGREE is re-exported: groebner.MAX_DEGREE
     _FIELD_BITS,
     _FIELD_MASK,
@@ -59,11 +63,13 @@ from .polyring import (  # MAX_DEGREE is re-exported: groebner.MAX_DEGREE
     Polynomial,
     QQ,
     _from_kernel,
+    _kernel_divide,
     _kernel_mul,
     _kernel_terms,
     _lcm,
     _overflow,
     _to_kernel,
+    mono_divides,
     packing,
 )
 
@@ -421,39 +427,15 @@ def _interreduce(entries: list, pk: MonomialPacking, p: int, arena_limit: int,
     return reduced
 
 
-def buchberger(ideal: Ideal, order: MonomialOrder = DEGREVLEX,
-               budget: Optional[GBBudget] = None, cache=None) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal under the given order.
-
-    Deterministic: generators and pairs wait in one queue and are taken by
-    sugar (Giovini, Mora, Niesi, Robbiano & Traverso 1991), then by the
-    degree of the generator's lead or of the pair's lcm, then generators
-    before pairs and by index.  A generator's sugar is its total degree; a
-    pair's is the larger over its two sides of the side's sugar plus the
-    degree of its cofactor, deg lcm - deg lead.  A generator or S-polynomial
-    taken from the queue is reduced against the basis so far and joins it
-    when its normal form is nonzero, with the larger of its sugar and its
-    new lead's degree; a generator that reduces to zero never becomes an
-    element and counts in ``stats["generators_dropped"]``, not in
-    ``pairs_processed``, which alone counts against ``max_pairs``.
-    Pairs are pruned by the Gebauer-Moeller update (Gebauer & Moeller 1988)
-    when an element joins the basis.  Of its new pairs only those whose lcm
-    no other new lcm divides survive, one per lcm, none where a coprime pair
-    shares that lcm, and coprime pairs are dropped; an old pair goes when the
-    new lead divides its lcm and the lcms with the new lead differ from it on
-    both sides.  Every reduction shares one divisor memo over the growing
-    basis (see ``_reduce_full``), and ``_interreduce`` makes the final basis
-    reduced.  The reduced basis is unique for the order, so results are
-    byte-reproducible and cacheable.
-    """
-    budget = budget or DEFAULT_BUDGET
+def _element_stream(ideal: Ideal, order: MonomialOrder, budget: GBBudget, stats: dict):
+    """Buchberger's algorithm on the generators of ``ideal`` (see
+    ``buchberger``), yielding each entry as it joins the basis; ``stats`` is
+    filled as the stream goes.  Drained, the entries form a Groebner basis in
+    the order they joined.  A caller may stop early: every lead so far lies in
+    the initial ideal."""
     p = ideal.field.characteristic
     pk = packing(order, ideal.nvars)
     generators = ideal.kernel_terms(order)
-    if cache is not None:
-        hit = cache.get(ideal, order)
-        if hit is not None:
-            return hit
     guard = pk.guard
     degree = pk.degree
     entries: list = []      # the basis so far; pairs refer to indices
@@ -466,8 +448,8 @@ def buchberger(ideal: Ideal, order: MonomialOrder = DEGREVLEX,
             for k, terms in enumerate(generators)]
     heapq.heapify(heap)
     memo: dict = {}         # the divisor memo of _reduce_full over ``entries``
-    stats = {"pairs_processed": 0, "pairs_pushed": 0,
-             "pairs_skipped_coprime": 0, "pairs_skipped_gm": 0, "generators_dropped": 0}
+    stats.update(pairs_processed=0, pairs_pushed=0, pairs_skipped_coprime=0,
+                 pairs_skipped_gm=0, generators_dropped=0)
 
     def add(entry, sugar: int) -> None:
         h = len(entries)
@@ -540,14 +522,60 @@ def buchberger(ideal: Ideal, order: MonomialOrder = DEGREVLEX,
             raise BudgetExceededError("basis size", budget.max_basis)
         if term_total > budget.max_terms:
             raise BudgetExceededError("term arena", budget.max_terms)
+        yield entry
 
-    memo = {}               # the tail reductions' memo, kept by the reduced basis
-    reduced = _interreduce(entries, pk, p, budget.max_terms, memo)
+
+def _reduced_basis(ideal: Ideal, order: MonomialOrder, entries: list, stats: dict,
+                   budget: GBBudget, cache) -> GroebnerBasis:
+    """The reduced basis of a drained element stream's ``entries``, put in
+    the cache when one is given."""
+    pk = packing(order, ideal.nvars)
+    memo: dict = {}         # the tail reductions' memo, kept by the reduced basis
+    reduced = _interreduce(entries, pk, ideal.field.characteristic, budget.max_terms, memo)
     stats.update(basis_size=len(reduced), from_cache=False)
     gb = GroebnerBasis(ideal.field, ideal.nvars, order, reduced, stats, memo)
     if cache is not None:
         cache.put(ideal, order, gb)
     return gb
+
+
+def buchberger(ideal: Ideal, order: MonomialOrder = DEGREVLEX,
+               budget: Optional[GBBudget] = None, cache=None) -> GroebnerBasis:
+    """Reduced Groebner basis of the ideal under the given order, served
+    from the cache when one is given and holds it.
+
+    The basis comes from draining ``_element_stream``, which yields each
+    element as it joins.  The stream is deterministic: generators and pairs
+    wait in one queue and are taken by sugar (Giovini, Mora, Niesi, Robbiano
+    & Traverso 1991), then by the degree of the generator's lead or of the
+    pair's lcm, then generators before pairs and by index.  A generator's
+    sugar is its total degree; a pair's is the larger over its two sides of
+    the side's sugar plus the degree of its cofactor, deg lcm - deg lead.  A
+    generator or S-polynomial taken from the queue is reduced against the
+    basis so far and joins it when its normal form is nonzero, with the
+    larger of its sugar and its new lead's degree; a generator that reduces
+    to zero never becomes an element and counts in
+    ``stats["generators_dropped"]``, not in ``pairs_processed``, which alone
+    counts against ``max_pairs``.  Pairs are pruned by the Gebauer-Moeller
+    update (Gebauer & Moeller 1988) when an element joins the basis.  Of its
+    new pairs only those whose lcm no other new lcm divides survive, one per
+    lcm, none where a coprime pair shares that lcm, and coprime pairs are
+    dropped; an old pair goes when the new lead divides its lcm and the lcms
+    with the new lead differ from it on both sides.  Every reduction shares
+    one divisor memo over the growing basis (see ``_reduce_full``), and
+    ``_interreduce`` makes the drained stream's basis reduced.  The reduced
+    basis is unique for the order, so results are byte-reproducible and
+    cacheable.  Only a drained stream's basis is ever cached: a caller that
+    stops the stream early (``certified_codimension``) caches nothing.
+    """
+    budget = budget or DEFAULT_BUDGET
+    if cache is not None:
+        hit = cache.get(ideal, order)
+        if hit is not None:
+            return hit
+    stats: dict = {}
+    entries = list(_element_stream(ideal, order, budget, stats))
+    return _reduced_basis(ideal, order, entries, stats, budget, cache)
 
 
 def _all_reduce_to_zero(generators, gb: GroebnerBasis, max_terms: int) -> bool:
@@ -613,10 +641,8 @@ def basis_dimension(gb: GroebnerBasis) -> int:
     support is inside S."""
     if gb.entries and gb.entries[0][0] == 0:    # the least key, 0, is the monomial 1
         return -1
-    supports = sorted({frozenset(i for i, e in enumerate(lm) if e)
-                       for lm in gb.leading_monomials()}, key=lambda s: (len(s), sorted(s)))
-    cover = _min_hitting_set(supports, gb.nvars)
-    return gb.nvars - cover
+    supports = {_support(lm) for lm in gb.leading_monomials()}
+    return gb.nvars - _cover(supports, gb.nvars)
 
 
 def codimension(ideal: Ideal, order: MonomialOrder = DEGREVLEX,
@@ -624,10 +650,76 @@ def codimension(ideal: Ideal, order: MonomialOrder = DEGREVLEX,
     return ideal.nvars - dimension(ideal, order, budget, cache)
 
 
-def _min_hitting_set(supports: list, nvars: int) -> int:
+def certified_codimension(ideal: Ideal, container: Ideal,
+                          budget: Optional[GBBudget] = None, cache=None) -> tuple:
+    """``(codim I, elements)`` for an ideal I and an ideal containing it,
+    with the basis of I cut short once two bounds meet.
+
+    I inside the container bounds codim I above by the container's
+    codimension, from its degrevlex basis (through the cache when one is
+    given).  The leads that I's element stream (see ``_element_stream``)
+    has yielded lie in the initial ideal of I, so the least number of
+    variables meeting each of their supports bounds codim I below (Cox,
+    Little & O'Shea, *Ideals, Varieties, and Algorithms*, ch. 9).  The
+    stream stops when the lower bound reaches the upper one; ``elements`` is
+    then the number of elements it yielded, and nothing of I is cached.  A
+    lead 1 (key 0) makes I the unit ideal and never closes the bound.  When
+    the bounds never meet, or I does not lie in the container, the full
+    reduced basis of I gives the codimension, exactly as ``codimension``
+    would (and is cached as there), and ``elements`` is None.  The route
+    depends only on the ideals, never on what the cache holds.
+    """
+    budget = budget or DEFAULT_BUDGET
+    n = ideal.nvars
+    outer = buchberger(container, DEGREVLEX, budget, cache)
+    upper = n - basis_dimension(outer)
+    if not _all_reduce_to_zero(ideal.kernel_terms(), outer, budget.max_terms):
+        return codimension(ideal, DEGREVLEX, budget, cache), None
+    decode = packing(DEGREVLEX, n).decode
+    stats: dict = {}
+    entries: list = []
+    minimal: list = []      # the minimal supports of the leads so far
+    for entry in _element_stream(ideal, DEGREVLEX, budget, stats):
+        entries.append(entry)
+        if (entry[0] and _add_support(minimal, _support(decode(entry[0])))
+                and _cover(minimal, upper) == upper):
+            return upper, len(entries)
+    gb = _reduced_basis(ideal, DEGREVLEX, entries, stats, budget, cache)
+    return n - basis_dimension(gb), None
+
+
+def _support(lm: tuple) -> tuple:
+    """The support of a monomial as the exponent tuple of its squarefree
+    part, the monomial's radical."""
+    return tuple(min(e, 1) for e in lm)
+
+
+def _add_support(minimal: list, support: tuple) -> bool:
+    """Keep ``minimal`` the inclusion-minimal supports after adding
+    ``support``; whether it changed.  Inclusion of supports is divisibility
+    of their squarefree monomials."""
+    if any(mono_divides(s, support) for s in minimal):
+        return False
+    minimal[:] = [s for s in minimal if not mono_divides(support, s)]
+    minimal.append(support)
+    return True
+
+
+def _cover(supports, cap: int) -> int:
+    """The least number of variables that meet every support (see
+    ``_support``), or ``cap`` when that is at least ``cap``: the
+    codimension of the monomial ideal the supports generate."""
+    sets = sorted((frozenset(i for i, e in enumerate(s) if e) for s in supports),
+                  key=lambda s: (len(s), sorted(s)))
+    return _min_hitting_set(sets, cap)
+
+
+def _min_hitting_set(supports: list, cap: int) -> int:
+    """The size of a least set of variables meeting every support (a
+    nonempty frozenset each), or ``cap`` when no smaller set does."""
     if not supports:
         return 0
-    best = nvars
+    best = cap
 
     def search(idx: int, chosen: frozenset):
         nonlocal best
@@ -672,7 +764,7 @@ def elimination(ideal: Ideal, elim_vars: Sequence[int],
 def ideal_quotient(ideal: Ideal, f: Polynomial,
                    budget: Optional[GBBudget] = None, cache=None) -> Ideal:
     """(I : f) through the tag-variable intersection I cap (f), then exact
-    division by f."""
+    division by f on the intersection's degrevlex kernel terms."""
     if f.is_zero():
         raise PolyError("quotient by the zero polynomial")
     n = ideal.nvars
@@ -683,8 +775,11 @@ def ideal_quotient(ideal: Ideal, f: Polynomial,
     fe = f.rename(n + 1, shift)
     gens.append(fe - t * fe)
     inter = elimination(Ideal(fld, n + 1, gens), [1], budget, cache)
-    quotients = [poly_divide_exact(h, f) for h in inter.generators]
-    return Ideal(fld, n, quotients)
+    pk = packing(DEGREVLEX, n)
+    divisor = _kernel_terms(f, pk)
+    p = fld.characteristic
+    return Ideal.from_kernel(fld, n, [_kernel_divide(h, divisor, pk, p)
+                                      for h in inter.kernel_terms()])
 
 
 def radical_membership(p: Polynomial, ideal: Ideal,

@@ -16,7 +16,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-from .polyring import DEGREVLEX, QQ, Polynomial, mono_divides
+from .polyring import (DEGREVLEX, QQ, Polynomial, _from_kernel, _kernel_divide, _kernel_terms,
+                       packing)
 
 
 def _row_primitive(row: dict) -> tuple:
@@ -256,22 +257,14 @@ def det(rows: Sequence[dict], field=QQ):
 
 
 def poly_divide_exact(p: Polynomial, f: Polynomial) -> Polynomial:
-    """Exact quotient p / f; raises if f does not divide p."""
+    """Exact quotient p / f; raises ArithmeticError if f does not divide p.
+    The division runs on degrevlex kernel terms (``polyring._kernel_divide``)."""
     if f.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
-    fld = p.field
-    quotient = Polynomial.zero(fld, p.nvars)
-    rem = p
-    f_lm, f_lc = f.initial_term(DEGREVLEX)
-    while not rem.is_zero():
-        lm, lc = rem.initial_term(DEGREVLEX)
-        if not mono_divides(f_lm, lm):
-            raise ArithmeticError("inexact polynomial division")
-        mono = tuple(a - b for a, b in zip(lm, f_lm))
-        coeff = fld.mul(lc, fld.inv(f_lc))
-        quotient = quotient + Polynomial(fld, p.nvars, {mono: coeff})
-        rem = rem - f.mul_term(mono, coeff)
-    return quotient
+    pk = packing(DEGREVLEX, p.nvars)
+    quotient = _kernel_divide(_kernel_terms(p, pk), _kernel_terms(f, pk), pk,
+                              p.field.characteristic)
+    return _from_kernel(quotient, pk, p.field, p.nvars)
 
 
 def poly_matrix_rank(matrix: Sequence[Sequence[Polynomial]]) -> int:

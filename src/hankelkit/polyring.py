@@ -30,6 +30,7 @@ decreasing degree-reverse-lexicographic order.
 
 from __future__ import annotations
 
+import heapq
 import re
 import struct
 from fractions import Fraction
@@ -488,6 +489,51 @@ def _kernel_mul(a: dict, b: dict, p: int) -> dict:
     acc: dict = {}
     _mul_add(acc, a, b)
     return _settle(acc, p)
+
+
+def _kernel_divide(terms: dict, divisor: dict, pk: MonomialPacking, p: int) -> dict:
+    """The exact quotient ``terms / divisor`` of two kernel term dicts with
+    true coefficients on the packing of a degree-compatible order (degrevlex),
+    by division from the lead down; ArithmeticError when the divisor's lead
+    fails to divide the remainder's, which is exactly when the division is
+    inexact.  Leads come from a max-heap of the keys in flight, as in the
+    Groebner kernel's reduction, and each step is one guard-bit test."""
+    guard = pk.guard
+    dlead = max(divisor)
+    dlc = divisor[dlead]
+    mask = guard - pk.exps(dlead)
+    dtail = [(k, c) for k, c in divisor.items() if k != dlead]
+    inv = pow(dlc, p - 2, p) if p else None
+    rem = dict(terms)
+    heap = [-k for k in rem]
+    heapq.heapify(heap)
+    quotient: dict = {}
+    while heap:
+        lm = -heapq.heappop(heap)
+        lc = rem.pop(lm)
+        if not lc:
+            continue
+        if (pk.exps(lm) + mask) & guard != guard:
+            raise ArithmeticError("inexact polynomial division")
+        shift = lm - dlead
+        if p:
+            q = lc * inv % p
+        elif type(lc) is int and lc % dlc == 0:
+            q = lc // dlc
+        else:       # an int when integral, as everywhere over QQ
+            q = Fraction(lc, dlc)
+            if q.denominator == 1:
+                q = q.numerator
+        quotient[shift] = q
+        for k, c in dtail:
+            kk = k + shift
+            v = rem.get(kk)
+            if v is None:
+                rem[kk] = -q * c % p if p else -q * c
+                heapq.heappush(heap, -kk)
+            else:
+                rem[kk] = (v - q * c) % p if p else v - q * c
+    return quotient
 
 
 # ---------------------------------------------------------------------------

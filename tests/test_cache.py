@@ -3,7 +3,8 @@ byte for byte with its kernel entries, a miss and its put encode each
 generator once, and an entry that is tampered with or written in another
 layout is evicted at ``get`` (or by ``verify``) and recomputed, never
 served.  The divisor memo that the on-hit check warms serves later
-reductions against the basis without changing their answers."""
+reductions against the basis without changing their answers.  A basis cut
+short by the certified codimension is never cached."""
 
 import json
 import random
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hankelkit import cache as cache_module
+from hankelkit import gradient as gr
 from hankelkit import polyring
 from hankelkit.cache import GroebnerCache, _check, _entry_bytes
 from hankelkit.groebner import (GroebnerBasis, Ideal, _all_reduce_to_zero, _entry,
@@ -260,3 +262,24 @@ def test_reductions_against_a_warmed_memo_match_fresh_ones(gens, probes, field, 
             assert not fresh.memo
             assert normal_form(q, basis) == normal_form(q, fresh)
             assert reduces_to_zero(q, basis) == reduces_to_zero(q, fresh)
+
+
+def test_a_certificate_run_caches_no_basis_of_j_and_a_stored_one_is_still_served(tmp_path):
+    data = gr.gradient(4, 1)
+    J, P = data.ideal(), data.matrix.minor_ideal(3)
+    cache = GroebnerCache(tmp_path)
+    witness = gr.gradient_codim_witness(4, 1, cache=cache)
+    assert witness["route"] == "certificate"
+    assert cache.entries() == [cache._path(P, DEGREVLEX)]
+    # warm, P's entry is the hit, and still nothing of J is cached
+    assert gr.gradient_codim_witness(4, 1, cache=cache) == witness
+    assert (cache.hits, cache.entries()) == (1, [cache._path(P, DEGREVLEX)])
+    # a full basis of J stored by another caller stays as it is and is served;
+    # the certificate neither reads nor rewrites it, so its witness is the same
+    full = buchberger(J, cache=cache)
+    stored = cache._path(J, DEGREVLEX).read_bytes()
+    assert gr.gradient_codim_witness(4, 1, cache=cache) == witness
+    assert cache._path(J, DEGREVLEX).read_bytes() == stored
+    served = buchberger(J, cache=cache)
+    assert served.stats["from_cache"] and served.entries == full.entries
+    assert cache.evictions == []

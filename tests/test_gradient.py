@@ -4,6 +4,8 @@ the principal-block check, and the prime-structure experiments."""
 import pytest
 
 from hankelkit import gradient as gr
+from hankelkit import groebner as gb
+from hankelkit.groebner import BudgetExceededError, GBBudget
 from hankelkit.polyring import IndexRangeError, Polynomial, PrimeField, QQ
 
 
@@ -221,6 +223,26 @@ def test_gradient_codim_table():
     assert gr.gradient_codim(3, 1) == 2
     assert gr.gradient_codim(3, 0) == 3
     assert gr.gradient_codim(4, 1) == 3
+
+
+@pytest.mark.parametrize("m,r", [(m, r) for m in range(3, 7) for r in range(m - 2)])
+def test_certificate_codimension_is_the_full_basis_codimension(m, r):
+    witness = gr.gradient_codim_witness(m, r)
+    assert witness["route"] == "certificate" and witness["elements"] >= 1
+    assert witness["codim"] == gb.codimension(gr.gradient(m, r).ideal()) == 3
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_codim_two_cells_take_the_full_basis(m):
+    assert gr.gradient_codim_witness(m, m - 2) == {"codim": 2, "route": "basis",
+                                                   "elements": None}
+
+
+def test_certificate_route_keeps_the_budget_outcome():
+    # P's basis already needs more than two pair reductions
+    with pytest.raises(BudgetExceededError) as exc:
+        gr.gradient_codim_witness(4, 0, GBBudget(max_pairs=2))
+    assert str(exc.value) == "budget exceeded: pair reductions > 2"
 
 
 def test_minimal_primes_m4_r1():

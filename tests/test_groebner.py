@@ -13,7 +13,7 @@ from hankelkit.groebner import (
     GroebnerBasis,
     Ideal,
 )
-from hankelkit.linalg import SpanEchelon, gauss_rank
+from hankelkit.linalg import SpanEchelon, gauss_rank, poly_divide_exact
 from hankelkit.polyring import (
     BlockOrder,
     DEGREVLEX,
@@ -311,7 +311,7 @@ def test_elimination_keeps_what_decoding_every_element_kept(case, monkeypatch):
         # the quotient divides each kept generator by f afterwards
         f = x(1, 6) + x(6, 6)
         assert [g.to_string() for g in out.generators] == \
-            [gb.poly_divide_exact(g, f).to_string() for g in old]
+            [poly_divide_exact(g, f).to_string() for g in old]
 
 
 def test_elimination_of_no_variable_is_the_degrevlex_basis():
@@ -816,3 +816,62 @@ def test_groebner_over_gf3():
     basis = gb.buchberger(J)
     assert gb.verify_basis(basis)
     assert gb.codimension(J) == 2
+
+
+# -- the element stream and the certified codimension -----------------------------------
+
+def homogeneous_terms(nvars):
+    def of_degree(d):
+        monos = [tuple(c.count(i) for i in range(nvars))
+                 for c in combinations_with_replacement(range(nvars), d)]
+        return st.dictionaries(st.sampled_from(monos), st.integers(min_value=-3, max_value=3),
+                               min_size=1, max_size=3)
+    return st.integers(min_value=1, max_value=3).flatmap(of_degree)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(homogeneous_terms(4), min_size=1, max_size=4),
+       st.sampled_from([QQ, PrimeField(32003)]))
+def test_every_prefix_of_the_element_stream_bounds_the_codimension_below(gens, field):
+    ideal = Ideal(field, 4, [Polynomial(field, 4, g) for g in gens])
+    full = gb.codimension(ideal)
+    decode = gb.packing(DEGREVLEX, 4).decode
+    minimal = []
+    stats = {}
+    entries = []
+    for entry in gb._element_stream(ideal, DEGREVLEX, gb.DEFAULT_BUDGET, stats):
+        entries.append(entry)
+        gb._add_support(minimal, gb._support(decode(entry[0])))
+        assert gb._cover(minimal, 4) <= full
+    # the drained stream's leads generate the initial ideal: the bound is sharp
+    assert gb._cover(minimal, 4) == full
+    assert gb.buchberger(ideal).entries == \
+        gb._interreduce(entries, gb.packing(DEGREVLEX, 4), field.characteristic, 10**6)
+
+
+def test_certified_codimension_stops_at_the_container_codimension():
+    n = 4
+    J = Ideal(QQ, n, [x(1, n) * x(2, n), x(1, n) * x(3, n), x(2, n) * x(3, n),
+                      x(4, n) ** 2])
+    P = Ideal(QQ, n, [x(1, n), x(2, n), x(4, n)])
+    # the leads x1x2, x1x3 already need two variables; x4^2 makes it three
+    assert gb.certified_codimension(J, P) == (3, 4)
+    assert gb.codimension(J) == 3
+
+
+def test_certified_codimension_takes_the_full_basis_when_the_bounds_never_meet():
+    n = 3
+    J = Ideal(QQ, n, [x(1, n) * x(2, n)])
+    # codim J = 1 stays below codim (x1, x2) = 2
+    assert gb.certified_codimension(J, Ideal(QQ, n, [x(1, n), x(2, n)])) == (1, None)
+    # J outside the container: no upper bound at all
+    assert gb.certified_codimension(J, Ideal(QQ, n, [x(3, n)])) == (1, None)
+
+
+def test_a_unit_lead_never_closes_the_certified_bound():
+    # the lead 1 has an empty support, which no variable meets: taken as a
+    # support, it would close any bound at once
+    n = 2
+    unit = Ideal(QQ, n, [Polynomial.one(QQ, n), x(1, n)])
+    assert gb.certified_codimension(unit, unit) == (n + 1, None)
+    assert gb.codimension(unit) == n + 1

@@ -342,3 +342,16 @@ def test_codim_minors_decodes_no_minor(monkeypatch):
     assert gb.codimension(sample) == 5
     with pytest.raises(AssertionError, match="decoded"):
         sample.generators
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3), PrimeField(32003)], ids=["QQ", "F3", "F32003"])
+def test_gradient_ideal_from_kernel_partials_matches_the_ideal_of_the_partials(field):
+    for m, r in [(m, r) for m in range(2, 7) for r in range(m - 1)]:
+        data = gr.gradient(m, r, field)
+        reference = Ideal(field, data.nvars, list(data.partials))
+        ideal = data.ideal()
+        assert ideal.kernel_terms() == reference.kernel_terms(), (m, r)
+        assert ideal.generators == reference.generators, (m, r)
+        assert [g.to_string() for g in ideal.generators] == \
+            [g.to_string() for g in reference.generators], (m, r)
+        assert cache_key(ideal, DEGREVLEX) == cache_key(reference, DEGREVLEX), (m, r)

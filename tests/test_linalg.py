@@ -258,3 +258,51 @@ def test_coefficient_rows_give_the_relations_of_a_family(case):
     sol = solve_consistent(coefficient_rows([p.terms for p in polys + [target]]), len(polys),
                            field)
     assert sol is not None and _combine(field, sol, polys) == target
+
+
+def old_divide_exact(p, f):
+    """The exponent-tuple division that ``poly_divide_exact`` replaced: the
+    reference for the kernel route."""
+    fld = p.field
+    quotient = Polynomial.zero(fld, p.nvars)
+    rem = p
+    f_lm, f_lc = f.initial_term()
+    while not rem.is_zero():
+        lm, lc = rem.initial_term()
+        if any(a > b for a, b in zip(f_lm, lm)):
+            raise ArithmeticError("inexact polynomial division")
+        mono = tuple(a - b for a, b in zip(lm, f_lm))
+        coeff = fld.mul(lc, fld.inv(f_lc))
+        quotient = quotient + Polynomial(fld, p.nvars, {mono: coeff})
+        rem = rem - f.mul_term(mono, coeff)
+    return quotient
+
+
+division_terms = st.dictionaries(
+    st.tuples(*[st.integers(min_value=0, max_value=2)] * 3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=3), min_size=1, max_size=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(division_terms, division_terms, st.sampled_from([QQ, PrimeField(3), PrimeField(32003)]))
+def test_poly_divide_exact_matches_the_exponent_tuple_division(f_terms, g_terms, field):
+    def poly(terms):
+        if field == QQ:
+            return Polynomial(field, 3, terms)
+        return Polynomial(field, 3, {e: c.numerator for e, c in terms.items()})
+
+    f, g = poly(f_terms), poly(g_terms)
+    if f.is_zero() or g.is_zero():
+        return
+    product = f * g
+    quotient = poly_divide_exact(product, f)
+    assert quotient == g == old_divide_exact(product, f)
+    assert quotient.to_string() == g.to_string()
+    assert all(type(c) is int or c.denominator != 1 for c in quotient.terms.values())
+    if f.total_degree():
+        # f divides product + 1 only if f divides 1
+        off = product + Polynomial.one(field, 3)
+        with pytest.raises(ArithmeticError):
+            poly_divide_exact(off, f)
+        with pytest.raises(ArithmeticError):
+            old_divide_exact(off, f)
